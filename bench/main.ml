@@ -26,6 +26,20 @@ let metrics_file = ref None
 
 let sep title = Printf.printf "\n== %s ==\n%!" title
 
+module J = Support.Json
+
+(* A measurement as JSON: a ratio over a zero timing is [null], never a
+   non-finite number (which {!Support.Json.to_string} rejects). *)
+let num f = if Float.is_finite f then J.Num f else J.Null
+
+(* Every BENCH_*.json is one {!Support.Json} object, [run_meta] first,
+   written atomically. *)
+let write_bench_json path fields =
+  Support.Atomic_io.write_file ~path
+    (J.to_string (J.Obj (("run_meta", Support.Run_meta.json ()) :: fields))
+    ^ "\n");
+  Printf.printf "wrote %s\n" path
+
 (* ---------------- Figure 8 ---------------------------------------------- *)
 
 let fig8 () =
@@ -131,17 +145,17 @@ let table2 () =
         let m = Met.Emit_affine.translate src in
         let f = Option.get (Core.find_func m "chain") in
         ignore (Transforms.Canonicalize.run f);
-        ignore (Mlt.Tactics.raise_to_linalg f);
-        if reorder then ignore (Mlt.Raise_chain.reorder f);
-        ignore (Mlt.To_blas.run f);
+        ignore (Transforms.Tactics.raise_to_linalg f);
+        if reorder then ignore (Transforms.Raise_chain.reorder f);
+        ignore (Transforms.To_blas.run f);
         Transforms.Lower_linalg.run f;
         Verifier.verify m;
         (Machine.Perf.time_func machine f).Machine.Perf.seconds
       in
       let t_ip = time ~reorder:false in
       let t_op = time ~reorder:true in
-      let tree, _ = Mlt.Matrix_chain.optimal (Array.of_list dims) in
-      let found = Mlt.Matrix_chain.to_string tree in
+      let tree, _ = Transforms.Matrix_chain.optimal (Array.of_list dims) in
+      let found = Transforms.Matrix_chain.to_string tree in
       Printf.printf "%-4d %-30s %10.4fs %10.4fs %8.2fx %8.2fx%s\n"
         (List.length dims - 1)
         found t_ip t_op (t_ip /. t_op) paper_speedup
@@ -222,7 +236,8 @@ let micro () =
   let raise_gemm () = ignore (P.prepare P.Mlt_linalg gemm_src) in
   let chain_dp () =
     ignore
-      (Mlt.Matrix_chain.optimal [| 30; 35; 15; 5; 10; 20; 25; 40; 12; 33; 7 |])
+      (Transforms.Matrix_chain.optimal
+         [| 30; 35; 15; 5; 10; 20; 25; 40; 12; 33; 7 |])
   in
   let cache = MM.fresh_hierarchy MM.intel_i9 in
   let cache_1k () =
@@ -346,24 +361,28 @@ let interp () =
     "(speedup = walker / compiled wall-clock; stage = one-time closure \
      compilation;\n checked = accesses the interval analysis could not prove \
      in bounds.)\n";
-  Support.Atomic_io.with_file ~path:"BENCH_interp.json" (fun oc ->
-  Printf.fprintf oc
-    "{\n  \"run_meta\": %s,\n  \"quick\": %b,\n  \"n\": %d,\n  \"results\": [\n"
-    (Support.Run_meta.to_string ())
-    !quick n;
-  List.iteri
-    (fun i (name, walk_t, compiled_t, stage_t, compiled) ->
-      Printf.fprintf oc
-        "    {\"kernel\": %S, \"walk_s\": %.9f, \"compiled_s\": %.9f, \
-         \"speedup\": %.2f, \"stage_s\": %.9f, \"checked_accesses\": %d, \
-         \"unchecked_accesses\": %d}%s\n"
-        name walk_t compiled_t (walk_t /. compiled_t) stage_t
-        compiled.Interp.Compile.c_checked_accesses
-        compiled.Interp.Compile.c_unchecked_accesses
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ]\n}\n");
-  Printf.printf "wrote BENCH_interp.json\n"
+  write_bench_json "BENCH_interp.json"
+    [
+      ("quick", J.Bool !quick);
+      ("n", J.num_int n);
+      ( "results",
+        J.List
+          (List.map
+             (fun (name, walk_t, compiled_t, stage_t, compiled) ->
+               J.Obj
+                 [
+                   ("kernel", J.Str name);
+                   ("walk_s", num walk_t);
+                   ("compiled_s", num compiled_t);
+                   ("speedup", num (walk_t /. compiled_t));
+                   ("stage_s", num stage_t);
+                   ( "checked_accesses",
+                     J.num_int compiled.Interp.Compile.c_checked_accesses );
+                   ( "unchecked_accesses",
+                     J.num_int compiled.Interp.Compile.c_unchecked_accesses );
+                 ])
+             rows) );
+    ]
 
 (* ---------------- Frozen pattern sets ------------------------------------ *)
 
@@ -382,7 +401,7 @@ let patterns_section () =
     Transforms.Raise_scf.patterns ()
     @ [ Transforms.Dce.pattern () ]
     @ Transforms.Canonicalize.patterns ()
-    @ Mlt.Tactics.all ()
+    @ Transforms.Tactics.all ()
   in
   let to_scf src =
     let m = Met.Emit_affine.translate src in
@@ -493,35 +512,34 @@ let patterns_section () =
       ("greedy scf raise 8^3 gemm (unindexed)", fz_relaxed);
     ];
 
-  Support.Atomic_io.with_file ~path:"BENCH_patterns.json" (fun oc ->
-  Printf.fprintf oc
-    "{\n  \"run_meta\": %s,\n  \"quick\": %b,\n  \"set_size\": %d,\n  \
-     \"total_attempts_indexed\": \
-     %d,\n  \"total_attempts_rootonly\": %d,\n  \
-     \"total_attempts_unindexed\": %d,\n  \"attempt_ratio\": %.2f,\n  \
-     \"prefix_attempt_ratio\": %.3f,\n  \"results_identical\": %b,\n  \
-     \"kernels\": [\n"
-    (Support.Run_meta.to_string ())
-    !quick set_size !total_compiled !total_stripped !total_relaxed ratio
-    prefix_ratio (!mismatches = 0);
-  List.iteri
-    (fun i (name, att_c, att_s, att_r, apps, same) ->
-      Printf.fprintf oc
-        "    {\"kernel\": %S, \"attempts_indexed\": %d, \
-         \"attempts_rootonly\": %d, \"attempts_unindexed\": %d, \
-         \"applications\": %d, \"identical\": %b}%s\n"
-        name att_c att_s att_r apps same
-        (if i = List.length rows - 1 then "" else ","))
-    rows;
-  Printf.fprintf oc "  ],\n  \"micro_ns_per_run\": {\n";
-  let micro = List.rev !micro_results in
-  List.iteri
-    (fun i (n, est) ->
-      Printf.fprintf oc "    %S: %.1f%s\n" n est
-        (if i = List.length micro - 1 then "" else ","))
-    micro;
-  Printf.fprintf oc "  }\n}\n");
-  Printf.printf "wrote BENCH_patterns.json\n";
+  write_bench_json "BENCH_patterns.json"
+    [
+      ("quick", J.Bool !quick);
+      ("set_size", J.num_int set_size);
+      ("total_attempts_indexed", J.num_int !total_compiled);
+      ("total_attempts_rootonly", J.num_int !total_stripped);
+      ("total_attempts_unindexed", J.num_int !total_relaxed);
+      ("attempt_ratio", num ratio);
+      ("prefix_attempt_ratio", num prefix_ratio);
+      ("results_identical", J.Bool (!mismatches = 0));
+      ( "kernels",
+        J.List
+          (List.map
+             (fun (name, att_c, att_s, att_r, apps, same) ->
+               J.Obj
+                 [
+                   ("kernel", J.Str name);
+                   ("attempts_indexed", J.num_int att_c);
+                   ("attempts_rootonly", J.num_int att_s);
+                   ("attempts_unindexed", J.num_int att_r);
+                   ("applications", J.num_int apps);
+                   ("identical", J.Bool same);
+                 ])
+             rows) );
+      ( "micro_ns_per_run",
+        J.Obj
+          (List.rev_map (fun (n, est) -> (n, num est)) !micro_results) );
+    ];
 
   (* Tracing call sites stay in the rewrite hot path permanently; with no
      sink installed each must cost no more than a ref read. Budget is
@@ -605,7 +623,7 @@ let scale () =
     Transforms.Raise_scf.patterns ()
     @ [ Transforms.Dce.pattern () ]
     @ Transforms.Canonicalize.patterns ()
-    @ Mlt.Tactics.all ()
+    @ Transforms.Tactics.all ()
   in
   (* Seed functions: every battery kernel translated once; the
      synthesized module clones these. Most seeds stay at the affine
@@ -745,31 +763,42 @@ let scale () =
     | _ -> false
   in
   let intern_json (s : Support.Intern.stats) =
-    Printf.sprintf "{\"size\": %d, \"hits\": %d, \"misses\": %d}"
-      s.Support.Intern.size s.Support.Intern.hits s.Support.Intern.misses
+    J.Obj
+      [
+        ("size", J.num_int s.Support.Intern.size);
+        ("hits", J.num_int s.Support.Intern.hits);
+        ("misses", J.num_int s.Support.Intern.misses);
+      ]
   in
-  Support.Atomic_io.write_file ~path:"BENCH_scale.json"
-    (Printf.sprintf
-       "{\n  \"run_meta\": %s,\n  \"quick\": %b,\n  \"target_ops\": %d,\n  \"module_ops\": %d,\n  \
-        \"module_funcs\": %d,\n  \"set_size\": %d,\n  \"compiled_seconds\": \
-        %.6f,\n  \"rootonly_seconds\": %.6f,\n  \"unindexed_seconds\": \
-        %.6f,\n  \"compiled_steady_seconds\": %.6f,\n  \
-        \"rootonly_steady_seconds\": %.6f,\n  \"unindexed_steady_seconds\": \
-        %.6f,\n  \"compiled_attempts\": %d,\n  \"rootonly_attempts\": %d,\n  \
-        \"unindexed_attempts\": %d,\n  \"applications\": %d,\n  \
-        \"attempt_ratio\": %.2f,\n  \"speedup\": %.3f,\n  \
-        \"speedup_vs_rootonly\": %.3f,\n  \"steady_speedup\": %.3f,\n  \
-        \"speedup_target\": 5.0,\n  \"speedup_asserted\": %b,\n  \
-        \"results_identical\": %b,\n  \"intern_typ\": %s,\n  \"intern_attr\": \
-        %s,\n  \"intern_affine_expr\": %s,\n  \"intern_affine_map\": %s\n}\n"
-       (Support.Run_meta.to_string ())
-       !quick target ops_c probe_funcs
-       (List.length (build_set ()))
-       sec_c sec_s sec_r std_c std_s std_r att_c att_s att_r apps_c
-       attempt_ratio speedup speedup_vs_root steady_speedup assert_speedup
-       identical (intern_json ts) (intern_json ats) (intern_json es)
-       (intern_json ms));
-  Printf.printf "wrote BENCH_scale.json\n";
+  write_bench_json "BENCH_scale.json"
+    [
+      ("quick", J.Bool !quick);
+      ("target_ops", J.num_int target);
+      ("module_ops", J.num_int ops_c);
+      ("module_funcs", J.num_int probe_funcs);
+      ("set_size", J.num_int (List.length (build_set ())));
+      ("compiled_seconds", num sec_c);
+      ("rootonly_seconds", num sec_s);
+      ("unindexed_seconds", num sec_r);
+      ("compiled_steady_seconds", num std_c);
+      ("rootonly_steady_seconds", num std_s);
+      ("unindexed_steady_seconds", num std_r);
+      ("compiled_attempts", J.num_int att_c);
+      ("rootonly_attempts", J.num_int att_s);
+      ("unindexed_attempts", J.num_int att_r);
+      ("applications", J.num_int apps_c);
+      ("attempt_ratio", num attempt_ratio);
+      ("speedup", num speedup);
+      ("speedup_vs_rootonly", num speedup_vs_root);
+      ("steady_speedup", num steady_speedup);
+      ("speedup_target", J.Num 5.0);
+      ("speedup_asserted", J.Bool assert_speedup);
+      ("results_identical", J.Bool identical);
+      ("intern_typ", intern_json ts);
+      ("intern_attr", intern_json ats);
+      ("intern_affine_expr", intern_json es);
+      ("intern_affine_map", intern_json ms);
+    ];
   if not identical then
     Support.Diag.errorf
       "bench scale: dispatch variants produced different IR (applied \
@@ -825,7 +854,6 @@ let tune_section () =
   Printf.printf "best (%s): %.6f s (%6.2f GFLOPS)\n"
     outcome.Tune.o_best.Tune.c_name st.Tune.t_best_seconds
     (flops /. st.Tune.t_best_seconds /. 1e9);
-  let module J = Support.Json in
   let results =
     List.map
       (fun (ev : Tune.evaluation) ->
@@ -847,26 +875,21 @@ let tune_section () =
     Transform.Script.print
       (Transform.Script.of_steps outcome.Tune.o_best.Tune.c_steps)
   in
-  Support.Atomic_io.write_file ~path:"BENCH_tune.json"
-    (J.to_string
-       (J.Obj
-          [
-            ("run_meta", Support.Run_meta.json ());
-            ("quick", J.Bool !quick);
-            ("n", J.num_int n);
-            ("machine", J.Str machine.MM.name);
-            ("domains", J.num_int cores);
-            ("wall_seconds", J.Num wall);
-            ("candidates", J.num_int st.Tune.t_candidates);
-            ("evaluated", J.num_int st.Tune.t_evaluated);
-            ("pluto_default_seconds", J.Num default_seconds);
-            ("best_name", J.Str outcome.Tune.o_best.Tune.c_name);
-            ("best_seconds", J.Num st.Tune.t_best_seconds);
-            ("best_script", J.Str best_script);
-            ("results", J.List results);
-          ])
-    ^ "\n");
-  Printf.printf "wrote BENCH_tune.json\n";
+  write_bench_json "BENCH_tune.json"
+    [
+      ("quick", J.Bool !quick);
+      ("n", J.num_int n);
+      ("machine", J.Str machine.MM.name);
+      ("domains", J.num_int cores);
+      ("wall_seconds", J.Num wall);
+      ("candidates", J.num_int st.Tune.t_candidates);
+      ("evaluated", J.num_int st.Tune.t_evaluated);
+      ("pluto_default_seconds", J.Num default_seconds);
+      ("best_name", J.Str outcome.Tune.o_best.Tune.c_name);
+      ("best_seconds", J.Num st.Tune.t_best_seconds);
+      ("best_script", J.Str best_script);
+      ("results", J.List results);
+    ];
   (* The model is deterministic, so this floor holds on any host: the
      searched space contains Pluto_default itself. *)
   if st.Tune.t_best_seconds > default_seconds +. 1e-12 then
@@ -1055,26 +1078,27 @@ let batch () =
     | Some ("1" | "true" | "yes") -> true
     | _ -> false
   in
-  Support.Atomic_io.write_file ~path:"BENCH_batch.json"
-    (Printf.sprintf
-       "{\n  \"run_meta\": %s,\n  \"quick\": %b,\n  \"entries\": %d,\n  \"domains\": %d,\n  \
-        \"cores\": %d,\n  \"seq_seconds\": %.6f,\n  \"par_seconds\": %.6f,\n  \
-        \"speedup\": %.3f,\n  \"speedup_target\": %.2f,\n  \
-        \"speedup_asserted\": %b,\n  \"ir_identical\": %b,\n  \
-        \"stats_identical\": %b,\n  \"aggregate_identical\": %b,\n  \
-        \"fault_isolated\": %b,\n  \"cache_cold_seconds\": %.6f,\n  \
-        \"cache_warm_seconds\": %.6f,\n  \"cache_speedup\": %.3f,\n  \
-        \"cache_warm_hits\": %d,\n  \"cache_warm_identical\": %b\n}\n"
-       (Support.Run_meta.to_string ())
-       !quick
-       (Batch.Manifest.size manifest)
-       pool_domains cores seq.Batch.Driver.rp_wall_seconds
-       par.Batch.Driver.rp_wall_seconds speedup speedup_target assert_speedup
-       (!ir_mismatches = 0) (!stat_mismatches = 0) aggregate_same
-       fault_isolated cold.Batch.Driver.rp_wall_seconds
-       warm.Batch.Driver.rp_wall_seconds cache_speedup
-       warm.Batch.Driver.rp_cache_hits warm_identical);
-  Printf.printf "wrote BENCH_batch.json\n";
+  write_bench_json "BENCH_batch.json"
+    [
+      ("quick", J.Bool !quick);
+      ("entries", J.num_int (Batch.Manifest.size manifest));
+      ("domains", J.num_int pool_domains);
+      ("cores", J.num_int cores);
+      ("seq_seconds", num seq.Batch.Driver.rp_wall_seconds);
+      ("par_seconds", num par.Batch.Driver.rp_wall_seconds);
+      ("speedup", num speedup);
+      ("speedup_target", num speedup_target);
+      ("speedup_asserted", J.Bool assert_speedup);
+      ("ir_identical", J.Bool (!ir_mismatches = 0));
+      ("stats_identical", J.Bool (!stat_mismatches = 0));
+      ("aggregate_identical", J.Bool aggregate_same);
+      ("fault_isolated", J.Bool fault_isolated);
+      ("cache_cold_seconds", num cold.Batch.Driver.rp_wall_seconds);
+      ("cache_warm_seconds", num warm.Batch.Driver.rp_wall_seconds);
+      ("cache_speedup", num cache_speedup);
+      ("cache_warm_hits", J.num_int warm.Batch.Driver.rp_cache_hits);
+      ("cache_warm_identical", J.Bool warm_identical);
+    ];
   if !ir_mismatches > 0 || !stat_mismatches > 0 || not aggregate_same then
     Support.Diag.errorf
       "bench batch: %d-domain run diverges from the sequential oracle"
@@ -1222,7 +1246,7 @@ let ablation () =
   in
   let blis_traced =
     let m = Met.Emit_affine.translate src5 in
-    ignore (Mlt.Tactics.raise_to_affine_matmul m);
+    ignore (Transforms.Tactics.raise_to_affine_matmul m);
     Transforms.Blis_schedule.run
       ~blocking:{ Transforms.Blis_schedule.mc = 32; nc = 64; kc = 32 }
       m;

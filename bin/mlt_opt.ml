@@ -67,7 +67,9 @@ let run input list_ops_flag force_c config script tactics_file dump_tds
             List.iter
               (fun tds -> print_string (Tdl.Tds.to_string tds))
               (Tdl.Frontend.lower_source ~file:path tdl_src);
-          Some (Mlt.Tactics.fill_pattern () :: Tdl.Backend.compile_tdl tdl_src)
+          Some
+            (Transforms.Tactics.fill_pattern ()
+            :: Tdl.Backend.compile_tdl tdl_src)
     in
     let snapshot =
       if print_ir_after_all then Ir.Pass.After_all
@@ -86,11 +88,11 @@ let run input list_ops_flag force_c config script tactics_file dump_tds
     padd delinearize T.Delinearize.pass;
     padd canonicalize
       (if fast_math then T.Canonicalize.fast_math_pass else T.Canonicalize.pass);
-    padd raise_affine (Mlt.Tactics.raise_to_affine_matmul_pass ());
+    padd raise_affine (Transforms.Tactics.raise_to_affine_matmul_pass ());
     padd raise_linalg
-      (Mlt.Tactics.raise_to_linalg_pass ?patterns:tactic_patterns ());
-    padd reorder_chains Mlt.Raise_chain.pass;
-    padd to_blas Mlt.To_blas.pass;
+      (Transforms.Tactics.raise_to_linalg_pass ?patterns:tactic_patterns ());
+    padd reorder_chains Transforms.Raise_chain.pass;
+    padd to_blas Transforms.To_blas.pass;
     (match lower_linalg_tiled with
     | Some size -> Ir.Pass.add pm (T.Lower_linalg.tiled_pass ~size)
     | None -> padd lower_linalg T.Lower_linalg.pass);

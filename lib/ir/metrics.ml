@@ -48,6 +48,19 @@ let counter ?help name = register Counter ?help name
 let gauge ?help name = register Gauge ?help name
 let histogram ?help name = register Histogram ?help name
 
+(* Registration is idempotent, so domains racing on the first call each
+   register and all get the same descriptor; [Lazy.force] would raise
+   [CamlinternalLazy.Undefined] instead. *)
+let once make =
+  let handle = Atomic.make None in
+  fun () ->
+    match Atomic.get handle with
+    | Some d -> d
+    | None ->
+        let d = make () in
+        Atomic.set handle (Some d);
+        d
+
 (* ---------------------------------------------------------------------- *)
 (* Per-domain shards.  A shard is an id-indexed cell array owned by one
    domain; updates never synchronize.  Shards register themselves in

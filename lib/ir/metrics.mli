@@ -43,6 +43,13 @@ val gauge : ?help:string -> string -> t
     (pinned by test/test_metrics.ml). *)
 val histogram : ?help:string -> string -> t
 
+(** [once make] — a handle registered by [make ()] on its first use, for
+    metrics that should appear in snapshots only once something records
+    into them. Safe to call from any domain, unlike a [lazy] handle:
+    two domains forcing one suspension at once raise
+    [CamlinternalLazy.Undefined]. *)
+val once : (unit -> t) -> unit -> t
+
 (** {2 Updates — no-ops (one atomic read) while disabled} *)
 
 val incr : t -> unit

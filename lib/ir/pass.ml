@@ -128,17 +128,19 @@ let wants_snapshot m name =
 (* Timing is recorded in a [Fun.protect] finalizer so that a pass raising
    mid-run still contributes its (partial) entry to the report. *)
 let metric_pass_seconds =
-  lazy (Metrics.histogram ~help:"per-pass wall-clock seconds" "mlt_pass_seconds")
+  Metrics.once (fun () ->
+      Metrics.histogram ~help:"per-pass wall-clock seconds"
+        "mlt_pass_seconds")
 
 let metric_pass_minor_words =
-  lazy
-    (Metrics.counter ~help:"minor-heap words allocated inside passes"
-       "mlt_pass_minor_words")
+  Metrics.once (fun () ->
+      Metrics.counter ~help:"minor-heap words allocated inside passes"
+        "mlt_pass_minor_words")
 
 let metric_pass_major_collections =
-  lazy
-    (Metrics.counter ~help:"major collections triggered inside passes"
-       "mlt_pass_major_collections")
+  Metrics.once (fun () ->
+      Metrics.counter ~help:"major collections triggered inside passes"
+        "mlt_pass_major_collections")
 
 let timed m ~name ~depth root body =
   let ops_before = count_ops root in
@@ -174,12 +176,12 @@ let timed m ~name ~depth root body =
       in
       m.recorded <- entry :: m.recorded;
       if Metrics.enabled () && depth = 0 then begin
-        Metrics.observe (Lazy.force metric_pass_seconds) seconds;
+        Metrics.observe (metric_pass_seconds ()) seconds;
         Metrics.add
-          (Lazy.force metric_pass_minor_words)
+          (metric_pass_minor_words ())
           (int_of_float gc.minor_words);
         Metrics.add
-          (Lazy.force metric_pass_major_collections)
+          (metric_pass_major_collections ())
           gc.major_collections
       end;
       if Trace.enabled () then

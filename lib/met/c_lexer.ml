@@ -113,7 +113,12 @@ let tokenize ~file src =
       emit start_loc (Float (float_of_string text))
     end
     else
-      emit start_loc (Int (int_of_string (String.sub src start (!pos - start))))
+      let text = String.sub src start (!pos - start) in
+      match int_of_string_opt text with
+      | Some i -> emit start_loc (Int i)
+      | None ->
+          D.errorf ~loc:start_loc "integer literal %s does not fit in an int"
+            text
   in
   let lex_ident start_loc =
     let start = !pos in

@@ -28,38 +28,6 @@ let config_of_name name =
 let all_figure9_configs =
   [ Clang_O3; Pluto_default; Pluto_best; Mlt_linalg; Mlt_blas ]
 
-(* The raising steps only this library can implement: the tactic sets
-   compile TDL and freeze pattern sets at script-compilation time, so
-   interpreting [transform.raise {set = "linalg"}] matches the legacy
-   [Tactics.raise_to_linalg_pass ()] exactly. Registered through the
-   same write-once-before-parallelism discipline as dialects. *)
-let steps_registered = Atomic.make false
-
-let register_transform_steps () =
-  Dialect.register_once steps_registered (fun () ->
-      Transform.Ops.register ();
-      Transform.Interp.register_step "transform.raise" (fun t_op ->
-          match Attr.get_str (Core.attr t_op "set") with
-          | "linalg" ->
-              let frozen = Rewriter.freeze (Tactics.all ()) in
-              fun payload -> Rewriter.apply_greedily payload frozen
-          | "affine-matmul" ->
-              let frozen =
-                Rewriter.freeze
-                  (Tdl.Backend.compile_tdl
-                     ~target:Tdl.Backend.To_affine_matmul
-                     Tdl.Frontend.gemm_tdl)
-              in
-              fun payload -> Rewriter.apply_greedily payload frozen
-          | "affine" -> T.Raise_scf.run
-          | other ->
-              Support.Diag.errorf ~loc:t_op.Core.o_loc
-                "transform.raise: unknown set %S" other);
-      Transform.Interp.register_step "transform.reorder_chains"
-        (fun _t_op payload -> Raise_chain.reorder payload);
-      Transform.Interp.register_step "transform.to_blas" (fun _t_op payload ->
-          To_blas.run payload))
-
 (* The op-def registry is write-once-before-parallelism (see
    Ir.Dialect): multi-domain drivers call this on the spawning domain so
    worker domains only ever read it. *)
@@ -70,8 +38,7 @@ let register_dialects () =
   Affine.Affine_ops.register ();
   Linalg.Linalg_ops.register ();
   Blas.Blas_ops.register ();
-  Transform.Ops.register ();
-  register_transform_steps ()
+  Transform.Ops.register ()
 
 let sole_func m =
   match List.filter Core.is_func (Core.ops_of_block (Core.module_block m)) with
@@ -114,15 +81,11 @@ let steps_of_config = function
   | Mlt_affine_blis ->
       [ Script.Canonicalize false; Script.Raise "affine-matmul" ]
 
-let script_of_config config = Script.of_steps (steps_of_config config)
-
 (* ---- schedules ------------------------------------------------------------ *)
 
 type schedule =
   | Config of config
   | Custom of { name : string; steps : Script.step list }
-
-let schedule_of_config config = Config config
 
 let schedule_of_steps ?name steps =
   let name =
@@ -136,8 +99,6 @@ let schedule_of_steps ?name steps =
   in
   Custom { name; steps }
 
-let schedule_of_script ?name m = schedule_of_steps ?name (Script.steps_of m)
-
 let schedule_of_script_text ?name ?file src =
   schedule_of_steps ?name (Script.parse_steps ?file src)
 
@@ -149,13 +110,7 @@ let schedule_steps = function
   | Config c -> steps_of_config c
   | Custom { steps; _ } -> steps
 
-let script_of_schedule s = Script.of_steps (schedule_steps s)
-
-let passes_of_schedule s =
-  register_transform_steps ();
-  Transform.Interp.passes_of_steps (schedule_steps s)
-
-let passes_of_config config = passes_of_schedule (Config config)
+let passes_of_schedule s = Transform.Interp.passes_of_steps (schedule_steps s)
 
 (* Bump whenever pipeline or pattern-set *behavior* changes in a way the
    printed script below cannot express (a tactic's rewrite changes, the
@@ -174,9 +129,7 @@ let schedule_cache_identity s =
      could change printed canonical forms), so cached artifacts must
      never alias across interning disciplines (docs/PERF.md). *)
   Printf.sprintf "%s+%s:%s" cache_version Support.Intern.version
-    (Script.print (script_of_schedule s))
-
-let cache_identity config = schedule_cache_identity (Config config)
+    (Script.print (Script.of_steps (schedule_steps s)))
 
 (* ---- preparation ---------------------------------------------------------- *)
 
@@ -234,11 +187,8 @@ let time_schedule_ext ?pm schedule machine src =
       let m = prepare_schedule ?pm schedule src in
       (M.Perf.time_func machine (sole_func m), None)
 
-let time_schedule ?pm schedule machine src =
-  fst (time_schedule_ext ?pm schedule machine src)
-
 let time ?pm config machine src =
-  time_schedule ?pm (Config config) machine src
+  fst (time_schedule_ext ?pm (Config config) machine src)
 
 let gflops config machine src ~flops =
   let report = time config machine src in
@@ -262,12 +212,12 @@ let compile_passes mode =
   | `Match_only ->
       (* Canonicalize first so matching is measured on the same IR the
          [`With_mlt] raising pass sees. *)
-      [ T.Canonicalize.pass; Tactics.raise_to_linalg_pass () ]
+      [ T.Canonicalize.pass; T.Tactics.raise_to_linalg_pass () ]
   | `Baseline -> [ T.Lower_affine.pass ]
   | `With_mlt ->
       [
         T.Canonicalize.pass;
-        Tactics.raise_to_linalg_pass ();
+        T.Tactics.raise_to_linalg_pass ();
         T.Lower_linalg.pass;
         (* Common progressive lowering to the SCF level. *)
         T.Lower_affine.pass;

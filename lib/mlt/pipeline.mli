@@ -44,21 +44,12 @@ val all_figure9_configs : config list
 
 (** [register_dialects ()] eagerly registers every dialect's op
     definitions into the {!Ir.Dialect} registry — including the
-    transform dialect and this library's transform-step implementations
-    ({!register_transform_steps}). The registry is
+    transform dialect. The registry is
     write-once-before-parallelism, so anything that spawns domains which
     compile IR must call this first, on the spawning domain
     ([Batch.Driver.run] does). Idempotent and cheap after the first
     call. *)
 val register_dialects : unit -> unit
-
-(** Installs the transform-step implementations only this library can
-    provide — [transform.raise] over the tactic sets ([linalg],
-    [affine-matmul], [affine]), [transform.reorder_chains] and
-    [transform.to_blas] — into {!Transform.Interp}'s registry.
-    Write-once; called by {!register_dialects} and by every script
-    elaboration here. *)
-val register_transform_steps : unit -> unit
 
 (** {2 Configs as transform scripts} *)
 
@@ -66,11 +57,6 @@ val register_transform_steps : unit -> unit
     [Clang_O3]; [Pluto_best] elaborates like [Pluto_default] — the sweep
     is resolved at timing, when a machine model is in hand). *)
 val steps_of_config : config -> Transform.Script.step list
-
-(** [script_of_config c] = [Transform.Script.of_steps (steps_of_config c)]
-    — the configuration as a parseable [builtin.module] of transform
-    ops. *)
-val script_of_config : config -> Core.op
 
 (** {2 Schedules}
 
@@ -81,15 +67,10 @@ type schedule =
   | Config of config
   | Custom of { name : string; steps : Transform.Script.step list }
 
-val schedule_of_config : config -> schedule
-
 (** [schedule_of_steps steps] — a custom schedule. The default [name] is
     ["script:" ^ digest-prefix] of the printed script, so two textually
     identical scripts get the same display name. *)
 val schedule_of_steps : ?name:string -> Transform.Script.step list -> schedule
-
-(** [schedule_of_script m] — from an already parsed script module. *)
-val schedule_of_script : ?name:string -> Core.op -> schedule
 
 (** [schedule_of_script_text src] — parse script IR text (errors carry
     [file] positions). *)
@@ -98,9 +79,6 @@ val schedule_of_script_text :
 
 val schedule_name : schedule -> string
 val schedule_steps : schedule -> Transform.Script.step list
-
-(** The schedule's steps as a script module. *)
-val script_of_schedule : schedule -> Core.op
 
 (** {2 Derived artifacts} *)
 
@@ -115,17 +93,11 @@ val script_of_schedule : schedule -> Core.op
     name is deliberately excluded: equal scripts share cache entries. *)
 val schedule_cache_identity : schedule -> string
 
-(** [cache_identity config] = [schedule_cache_identity (Config config)]. *)
-val cache_identity : config -> string
-
 (** The schedule's transformation pipeline, as pass-manager passes in
     application order — one pass per script step, named by
     {!Transform.Script.step_name}. Pattern-backed steps compile their
     tactic sets once, at list construction. *)
 val passes_of_schedule : schedule -> Pass.t list
-
-(** [passes_of_config c] = [passes_of_schedule (Config c)]. *)
-val passes_of_config : config -> Pass.t list
 
 (** {2 Preparation} *)
 
@@ -159,13 +131,6 @@ val time_schedule_ext :
   Machine.Machine_model.t ->
   string ->
   Machine.Perf.report * Tune.stats option
-
-val time_schedule :
-  ?pm:Pass.manager ->
-  schedule ->
-  Machine.Machine_model.t ->
-  string ->
-  Machine.Perf.report
 
 val time :
   ?pm:Pass.manager ->

@@ -110,9 +110,15 @@ let tokenize ~file src =
         while (match peek 0 with Some c -> is_digit c | None -> false) do
           advance ()
         done;
-        toks :=
-          { tok = Int (int_of_string (String.sub src start (!pos - start))); loc = l }
-          :: !toks;
+        let text = String.sub src start (!pos - start) in
+        let i =
+          match int_of_string_opt text with
+          | Some i -> i
+          | None ->
+              D.errorf ~loc:l "TDL: integer literal %s does not fit in an int"
+                text
+        in
+        toks := { tok = Int i; loc = l } :: !toks;
         go ()
     | Some c ->
         let l = loc () in

@@ -3,19 +3,6 @@ module T = Transforms
 module A = Affine.Affine_ops
 module D = Support.Diag
 
-(* ---- the step registry --------------------------------------------------- *)
-
-type impl = Core.op -> Core.op -> int
-
-let registry : (string, impl) Hashtbl.t = Hashtbl.create 16
-let registry_mutex = Mutex.create ()
-
-let register_step name impl =
-  Mutex.protect registry_mutex (fun () -> Hashtbl.replace registry name impl)
-
-let lookup_step name =
-  Mutex.protect registry_mutex (fun () -> Hashtbl.find_opt registry name)
-
 (* ---- payload measurements (application counts) --------------------------- *)
 
 (* The same maximal-perfect-nest discovery [Loop_tile.tile_all] performs,
@@ -52,36 +39,30 @@ let count_linalg_ops root =
       if String.starts_with ~prefix:"linalg." op.Core.o_name then incr n);
   !n
 
-(* ---- built-in step implementations --------------------------------------- *)
+(* ---- step appliers ------------------------------------------------------ *)
 
 (* [Tile [s]] must stay byte-identical to [Loop_tile.tile_all ~size:s]
    (the Pluto elaboration depends on it), so the uniform case delegates
    to it; per-dimension sizes tile each discovered nest with the sizes
    truncated/padded (with 1 = untiled) to the nest's depth. *)
-let tile_impl t_op =
-  let sizes = Attr.get_ints (Core.attr t_op "sizes") in
-  match sizes with
-  | [ size ] ->
-      fun payload ->
-        let n = List.length (tileable_nests payload) in
-        T.Loop_tile.tile_all payload ~size;
-        n
+let tile sizes payload =
+  let nests = tileable_nests payload in
+  (match sizes with
+  | [ size ] -> T.Loop_tile.tile_all payload ~size
   | sizes ->
-      fun payload ->
-        let nests = tileable_nests payload in
-        List.iter
-          (fun loops ->
-            let depth = List.length loops in
-            let rec fit i = function
-              | s :: rest when i < depth -> s :: fit (i + 1) rest
-              | _ when i < depth -> List.init (depth - i) (fun _ -> 1)
-              | _ -> []
-            in
-            T.Loop_tile.tile_nest loops ~sizes:(fit 0 sizes))
-          nests;
-        List.length nests
+      List.iter
+        (fun loops ->
+          let depth = List.length loops in
+          let rec fit i = function
+            | s :: rest when i < depth -> s :: fit (i + 1) rest
+            | _ when i < depth -> List.init (depth - i) (fun _ -> 1)
+            | _ -> []
+          in
+          T.Loop_tile.tile_nest loops ~sizes:(fit 0 sizes))
+        nests);
+  List.length nests
 
-let interchange_impl _t_op payload =
+let interchange payload =
   let n = T.Interchange.vectorize_func payload in
   (* Interchange of reduction loops assumes reassociation: mark the code
      fast-math so the machine model may vectorize reductions, exactly as
@@ -90,93 +71,47 @@ let interchange_impl _t_op payload =
       if Core.is_func op then Core.set_attr op "fast_math" (Attr.Bool true));
   n
 
-let fuse_impl t_op =
-  let h =
-    match Attr.get_str (Core.attr t_op "heuristic") with
-    | "nofuse" -> T.Loop_fuse.No_fuse
-    | "smartfuse" -> T.Loop_fuse.Smart_fuse
-    | "maxfuse" -> T.Loop_fuse.Max_fuse
-    | other ->
-        D.errorf ~loc:t_op.Core.o_loc
-          "transform.fuse: unknown heuristic %S" other
-  in
-  fun payload -> T.Loop_fuse.run h payload
-
-let unroll_impl t_op =
-  let factor = Attr.get_int (Core.attr t_op "factor") in
-  fun payload -> T.Loop_unroll.unroll_innermost payload ~factor
-
-let lower_affine_impl _t_op payload =
-  let n = List.length (Affine.Loops.all_loops payload) in
-  T.Lower_affine.run payload;
+(* [counted count run]: apply [run], reporting what [count] measured on
+   the payload beforehand. *)
+let counted count run payload =
+  let n = count payload in
+  run payload;
   n
 
-let lower_linalg_impl t_op =
-  let tile_size = Option.map Attr.get_int (Core.find_attr t_op "tile_size") in
-  fun payload ->
-    let n = count_linalg_ops payload in
-    (match tile_size with
-    | Some size -> T.Lower_linalg.run_tiled ~size payload
-    | None -> T.Lower_linalg.run payload);
-    n
+(* A pattern-backed step: the set is frozen here, once per script
+   compilation, and shared read-only by every application. *)
+let rewrite_with patterns =
+  let frozen = Rewriter.freeze patterns in
+  fun payload -> Rewriter.apply_greedily payload frozen
 
-let blis_impl t_op =
-  let blocking =
-    {
-      T.Blis_schedule.mc = Attr.get_int (Core.attr t_op "mc");
-      nc = Attr.get_int (Core.attr t_op "nc");
-      kc = Attr.get_int (Core.attr t_op "kc");
-    }
-  in
-  fun payload ->
-    let n = count_ops_named payload "affine.matmul" in
-    T.Blis_schedule.run ~blocking payload;
-    n
-
-(* Only the SCF set is implementable from this library; [Mlt.Pipeline]
-   replaces this implementation with one that also knows the tactic
-   sets ("linalg", "affine-matmul"). *)
-let raise_impl t_op =
-  match Attr.get_str (Core.attr t_op "set") with
-  | "affine" -> T.Raise_scf.run
-  | other ->
-      D.errorf ~loc:t_op.Core.o_loc
-        "transform.raise: set %S needs the tactic library (call \
-         Mlt.Pipeline.register_dialects first)"
-        other
-
-let canonicalize_impl t_op =
-  let fast_math = Core.find_attr t_op "fast_math" = Some (Attr.Int 1) in
-  fun payload -> T.Canonicalize.run ~fast_math payload
-
-let builtin_registered = Atomic.make false
-
-(* Built-ins never clobber an already-registered implementation:
-   [Mlt.Pipeline] may have installed its richer [transform.raise]
-   before the first compile forced this registration. *)
-let register_builtin name impl =
-  Mutex.protect registry_mutex (fun () ->
-      if not (Hashtbl.mem registry name) then Hashtbl.add registry name impl)
-
-let register_builtins () =
-  Dialect.register_once builtin_registered (fun () ->
-      Ops.register ();
-      register_builtin "transform.tile" tile_impl;
-      register_builtin "transform.interchange" interchange_impl;
-      register_builtin "transform.fuse" fuse_impl;
-      register_builtin "transform.unroll" unroll_impl;
-      register_builtin "transform.lower_affine" lower_affine_impl;
-      register_builtin "transform.lower_linalg" lower_linalg_impl;
-      register_builtin "transform.blis_schedule" blis_impl;
-      register_builtin "transform.raise" raise_impl;
-      register_builtin "transform.canonicalize" canonicalize_impl;
-      register_builtin "transform.dce" (fun _t_op -> T.Dce.run))
-
-let registered_steps () =
-  register_builtins ();
-  List.sort compare
-    (Mutex.protect registry_mutex (fun () ->
-         Hashtbl.fold (fun k _ acc -> k :: acc) registry []))
+(* [applier ~loc step] runs once per script compilation; the returned
+   closure applies the step to a payload root and returns how many times
+   it applied (0 = inapplicable). *)
+let applier ~loc : Script.step -> Core.op -> int = function
+  | Tile sizes -> tile sizes
+  | Interchange -> interchange
+  | Fuse h -> T.Loop_fuse.run h
+  | Unroll factor ->
+      fun payload -> T.Loop_unroll.unroll_innermost payload ~factor
+  | Lower_affine ->
+      counted
+        (fun payload -> List.length (Affine.Loops.all_loops payload))
+        T.Lower_affine.run
+  | Lower_linalg None -> counted count_linalg_ops T.Lower_linalg.run
+  | Lower_linalg (Some size) ->
+      counted count_linalg_ops (T.Lower_linalg.run_tiled ~size)
+  | Blis_schedule blocking ->
+      counted
+        (fun payload -> count_ops_named payload "affine.matmul")
+        (T.Blis_schedule.run ~blocking)
+  | Raise "linalg" -> rewrite_with (T.Tactics.all ())
+  | Raise "affine-matmul" -> rewrite_with (T.Tactics.affine_matmul ())
+  | Raise "affine" -> T.Raise_scf.run
+  | Raise other -> D.errorf ~loc "transform.raise: unknown set %S" other
+  | Canonicalize fast_math -> T.Canonicalize.run ~fast_math
+  | Dce -> T.Dce.run
+  | Reorder_chains -> T.Raise_chain.reorder
+  | To_blas -> T.To_blas.run
 
 (* ---- compilation and application ----------------------------------------- *)
 
@@ -186,27 +121,17 @@ type compiled = {
   c_apply : Core.op -> int;
 }
 
-let compile_op (op : Core.op) =
-  let step = Script.step_of_op op in
-  match lookup_step op.Core.o_name with
-  | Some impl ->
+let compile script =
+  let steps = Script.steps_of script in
+  List.map2
+    (fun (op : Core.op) step ->
       {
         c_name = Script.step_name step;
         c_loc = op.Core.o_loc;
-        c_apply = impl op;
-      }
-  | None ->
-      D.errorf ~loc:op.Core.o_loc
-        "no interpreter registered for %s (registered: %s)" op.Core.o_name
-        (String.concat ", " (registered_steps ()))
-
-let compile script =
-  register_builtins ();
-  if script.Core.o_name <> "builtin.module" then
-    D.errorf ~loc:script.Core.o_loc
-      "a transform script must be a builtin.module (found %s)"
-      script.Core.o_name;
-  List.map compile_op (Core.ops_of_block (Core.module_block script))
+        c_apply = applier ~loc:op.Core.o_loc step;
+      })
+    (Core.ops_of_block (Core.module_block script))
+    steps
 
 let compile_steps steps = compile (Script.of_steps steps)
 

@@ -1,13 +1,12 @@
 (** The transform-script interpreter: applies a script's ops, in order,
     to a payload module (sequence semantics).
 
-    Each step resolves through a registry keyed by op name, so higher
-    layers can contribute implementations the core library cannot see
-    (the [mlt] library registers [transform.raise]'s tactic sets,
-    [transform.reorder_chains] and [transform.to_blas] from
-    [Mlt.Pipeline.register_dialects]). The registry is
-    write-once-before-parallelism like {!Ir.Dialect}: populate it on the
-    spawning domain before worker domains interpret scripts.
+    Each op is destructured into a {!Script.step} and resolved by one
+    exhaustive match over the step constructors, the tactic sets of
+    [transform.raise] included. The transform dialect's op definitions
+    live in the write-once-before-parallelism {!Ir.Dialect} registry:
+    register them on the spawning domain before worker domains interpret
+    scripts.
 
     Observability: every step runs inside an {!Ir.Trace} span (category
     ["transform"]) and emits an [Analysis] remark when it applied to
@@ -16,18 +15,9 @@
 
 open Ir
 
-(** [register_step name impl] installs (or replaces) the implementation
-    of op [name]. [impl t_op] runs once per script compilation and may
-    precompute from [t_op]'s attributes (e.g. freeze a pattern set); the
-    returned closure applies the step to a payload root and returns how
-    many times it applied (0 = inapplicable). *)
-val register_step : string -> (Core.op -> Core.op -> int) -> unit
-
-(** Registered step names, sorted (built-ins register on first use). *)
-val registered_steps : unit -> string list
-
 (** A resolved step: label, source location (for remarks), and the
-    applier. *)
+    applier. The applier returns how many times the step applied to a
+    payload root (0 = inapplicable). *)
 type compiled = {
   c_name : string;
   c_loc : Support.Loc.t;
@@ -35,10 +25,9 @@ type compiled = {
 }
 
 (** [compile script] resolves every op of a script module; raises
-    {!Support.Diag.Error} on a malformed script or an op with no
-    registered implementation. Compilation is the moment to do it on a
-    spawning domain: the returned closures are safe to share read-only
-    with workers (frozen pattern sets included). *)
+    {!Support.Diag.Error} on a malformed script. Pattern-backed steps
+    freeze their tactic sets here, once per compilation; the returned
+    closures are safe to share read-only with workers. *)
 val compile : Core.op -> compiled list
 
 val compile_steps : Script.step list -> compiled list

@@ -133,9 +133,9 @@ let sole_func m =
   | fs -> D.errorf "tune: expected one kernel, found %d" (List.length fs)
 
 let m_eval_seconds =
-  lazy
-    (Metrics.histogram ~help:"tuner candidate-evaluation wall-clock"
-       "mlt_tune_eval_seconds")
+  Metrics.once (fun () ->
+      Metrics.histogram ~help:"tuner candidate-evaluation wall-clock"
+        "mlt_tune_eval_seconds")
 
 let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
   let candidates =
@@ -172,7 +172,7 @@ let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
     | exception exn -> results.(i) <- (None, Some (Printexc.to_string exn)));
     let w = Unix.gettimeofday () -. t0 in
     walls.(i) <- w;
-    Metrics.observe (Lazy.force m_eval_seconds) w
+    Metrics.observe (m_eval_seconds ()) w
   in
   let domains = max 1 (min domains n) in
   let work shard () =

@@ -8,9 +8,8 @@
     candidate order, so the result is independent of the domain count;
     with a fixed [seed] the optional subsampling is deterministic too.
     Sharding follows the batch driver's round-robin discipline
-    (docs/CONCURRENCY.md): populate the dialect and transform-step
-    registries on the calling domain first
-    ([Mlt.Pipeline.register_dialects]). *)
+    (docs/CONCURRENCY.md): populate the dialect registry on the calling
+    domain first ([Mlt.Pipeline.register_dialects]). *)
 
 type candidate = {
   c_name : string;

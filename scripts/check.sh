@@ -90,3 +90,15 @@ diff -r -x report.json "$obs_tmp/batch-cold" "$obs_tmp/batch-warm" || {
   echo "check.sh: cache-served IR differs from freshly compiled IR" >&2
   exit 1
 }
+# Run the benchmark's two batch workloads for one second each, untraced:
+# every op is checked against its expected output (per-entry IR digests,
+# result signatures, an all-hit warm cache), and the result line's
+# "failed" count must be 0 (perfbench/README.md).
+for workload in batch-cold batch-warm; do
+  result="$(bash perfbench/run.sh --workload "$workload" --seed 0 \
+    --seconds 1 --trace 0 | tail -n 1)"
+  echo "$result" | grep -Eq '"failed":0[,}]' || {
+    echo "check.sh: perfbench $workload reported failed ops: $result" >&2
+    exit 1
+  }
+done

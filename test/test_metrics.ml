@@ -88,6 +88,22 @@ let test_registration_write_once () =
       Alcotest.(check bool) "error names the existing kind" true
         (contains msg "already registered as a counter")
 
+(* A [once] handle's first use may come from several domains at once
+   (a pass finishing on every batch worker): each must get the handle,
+   where a shared [lazy] raises [CamlinternalLazy.Undefined]. *)
+let test_once_is_domain_safe () =
+  with_metrics @@ fun () ->
+  let handle = Metrics.once (fun () -> Metrics.counter "tm_once_counter") in
+  let work () =
+    for _ = 1 to 1000 do
+      Metrics.incr (handle ())
+    done
+  in
+  let doms = List.init 4 (fun _ -> Domain.spawn work) in
+  List.iter Domain.join doms;
+  Alcotest.(check int) "every domain counted into one metric" 4000
+    (counter_value "tm_once_counter")
+
 let test_disabled_updates_are_dropped () =
   let c = Metrics.counter "tm_disabled_counter" in
   Alcotest.(check bool) "disabled by default" false (Metrics.enabled ());
@@ -240,6 +256,8 @@ let suite =
       test_bucket_boundaries;
     Alcotest.test_case "descriptor registration is write-once" `Quick
       test_registration_write_once;
+    Alcotest.test_case "once handles are domain-safe" `Quick
+      test_once_is_domain_safe;
     Alcotest.test_case "updates while disabled are dropped" `Quick
       test_disabled_updates_are_dropped;
     Alcotest.test_case "4-domain merge is deterministic" `Quick

@@ -14,7 +14,7 @@ let count_ops m name =
 
 let raise_all src =
   let m = Met.Emit_affine.translate src in
-  let n = Mlt.Tactics.raise_to_linalg m in
+  let n = Transforms.Tactics.raise_to_linalg m in
   Verifier.verify m;
   (m, n)
 
@@ -60,6 +60,28 @@ let test_negative_controls_semantics () =
       ("doitgen", W.doitgen ~r:3 ~q:3 ~p:3 ());
     ]
 
+(* An integer literal that overflows [int] is a located diagnostic in
+   every frontend lexer, never an internal [Failure "int_of_string"]. *)
+let expect_located_error what parse =
+  match parse () with
+  | _ -> Alcotest.failf "%s: overflowing literal accepted" what
+  | exception Support.Diag.Error (loc, msg) ->
+      Alcotest.(check bool)
+        (what ^ ": located") true (Support.Loc.is_known loc);
+      Alcotest.(check bool) (what ^ ": names the literal") true
+        (Astring_contains.contains msg "99999999999999999999")
+
+let test_overflowing_int_literals () =
+  expect_located_error "mini-C" (fun () ->
+      Met.C_parser.parse_program ~file:"big.c"
+        "void f(float A[99999999999999999999]) {}");
+  expect_located_error "TDL" (fun () ->
+      Tdl.Tdl_parser.parse ~file:"big.tdl"
+        "def G {\n\
+        \  pattern = builder C(i,j) += A(i,k) * B(k,j) where f = a * \
+         99999999999999999999\n\
+         }\n")
+
 let suite =
   [
     Alcotest.test_case "syrk not raised (same input twice)" `Quick
@@ -70,4 +92,6 @@ let suite =
       test_doitgen_partial;
     Alcotest.test_case "negative controls keep semantics" `Quick
       test_negative_controls_semantics;
+    Alcotest.test_case "overflowing integer literals are located errors"
+      `Quick test_overflowing_int_literals;
   ]

@@ -61,9 +61,9 @@ let test_full_pipeline_as_passes () =
     [
       Transforms.Canonicalize.pass;
       Pass.make ~name:"raise-to-linalg" (fun root ->
-          ignore (Mlt.Tactics.raise_to_linalg root));
-      Mlt.Raise_chain.pass;
-      Mlt.To_blas.pass;
+          ignore (Transforms.Tactics.raise_to_linalg root));
+      Transforms.Raise_chain.pass;
+      Transforms.To_blas.pass;
       Transforms.Lower_linalg.pass;
       Transforms.Lower_affine.pass;
       Transforms.Dce.pass;
@@ -206,7 +206,7 @@ let test_summary_merges_pattern_stats () =
      per-run [patterns] arrays into one per-pattern row with summed
      counters, and [summary_json] must render that array. *)
   let pm = Pass.create_manager () in
-  Pass.add pm (Mlt.Tactics.raise_to_linalg_pass ());
+  Pass.add pm (Transforms.Tactics.raise_to_linalg_pass ());
   let run_once () =
     Pass.run pm (Met.Emit_affine.translate (W.mm ~ni:8 ~nj:8 ~nk:8 ()))
   in

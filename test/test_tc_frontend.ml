@@ -37,7 +37,7 @@ let test_tc_agrees_with_met_entry () =
       "C(i,j) += A(i,k) * B(k,j)"
   in
   let bottom = Met.Emit_affine.translate (Workloads.Polybench.mm ~ni:n ~nj:n ~nk:n ()) in
-  ignore (Mlt.Tactics.raise_to_linalg bottom);
+  ignore (Transforms.Tactics.raise_to_linalg bottom);
   Alcotest.(check bool) "same semantics from both entries" true
     (Interp.Eval.equivalent top bottom "mm" ~seed:103)
 

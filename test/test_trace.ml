@@ -29,7 +29,7 @@ let test_memory_captures_pipeline () =
   Alcotest.(check bool) "sink install enables tracing" true (Trace.enabled ());
   let m = Met.Emit_affine.translate (W.mm ~ni:8 ~nj:8 ~nk:8 ()) in
   let pm = Pass.create_manager () in
-  Pass.add pm (Mlt.Tactics.raise_to_linalg_pass ());
+  Pass.add pm (Transforms.Tactics.raise_to_linalg_pass ());
   Pass.run pm m;
   Trace.Memory.detach t;
   Alcotest.(check bool) "detach disables tracing" false (Trace.enabled ());
@@ -177,7 +177,7 @@ let test_chrome_json_valid () =
   let c = Trace.Chrome.create () in
   let m = Met.Emit_affine.translate (W.mm ~ni:8 ~nj:8 ~nk:8 ()) in
   let pm = Pass.create_manager () in
-  Pass.add pm (Mlt.Tactics.raise_to_linalg_pass ());
+  Pass.add pm (Transforms.Tactics.raise_to_linalg_pass ());
   Pass.run pm m;
   Trace.Chrome.detach c;
   Alcotest.(check bool) "captured events" true (Trace.Chrome.count c > 0);

@@ -66,19 +66,19 @@ let legacy_passes = function
   | P.Mlt_linalg ->
       [
         T.Canonicalize.pass;
-        Mlt.Tactics.raise_to_linalg_pass ();
+        Transforms.Tactics.raise_to_linalg_pass ();
         T.Lower_linalg.tiled_pass ~size:32;
       ]
   | P.Mlt_blas ->
       [
         T.Canonicalize.pass;
-        Mlt.Tactics.raise_to_linalg_pass ();
-        Mlt.Raise_chain.pass;
-        Mlt.To_blas.pass;
+        Transforms.Tactics.raise_to_linalg_pass ();
+        Transforms.Raise_chain.pass;
+        Transforms.To_blas.pass;
         T.Lower_linalg.pass;
       ]
   | P.Mlt_affine_blis ->
-      [ T.Canonicalize.pass; Mlt.Tactics.raise_to_affine_matmul_pass () ]
+      [ T.Canonicalize.pass; Transforms.Tactics.raise_to_affine_matmul_pass () ]
 
 let sole_func m =
   List.find Core.is_func (Core.ops_of_block (Core.module_block m))
@@ -183,6 +183,97 @@ let test_applicable_step_counts () =
   let count = Transform.Interp.apply_step (List.hd compiled) (sole_func m) in
   Alcotest.(check int) "one tiled nest" 1 count
 
+(* Every step constructor, compiled through [compile_steps] and applied
+   to a fixed payload: the compiled step carries the {!Script.step_name}
+   label (as does its pass) and reports a pinned application count.
+   [setup] steps first bring the payload to the level the step works on. *)
+let step_count_table =
+  let mm = W.mm ~ni:8 ~nj:8 ~nk:8 () in
+  let two_mm = W.two_mm ~ni:8 ~nj:8 ~nk:8 ~nl:8 () in
+  let chain = W.matrix_chain [ 16; 22; 18; 24; 2 ] in
+  (* Two independent nests (fusable), foldable [1.0 *] and [0.0 *]
+     terms, and a local buffer nothing reads (dead). *)
+  let fold =
+    "void k(float A[8][8], float B[8][8], float C[8][8]) {\n\
+    \  float T[8][8];\n\
+    \  for (int i = 0; i < 8; ++i)\n\
+    \    for (int j = 0; j < 8; ++j)\n\
+    \      C[i][j] = C[i][j] + 1.0 * A[i][j] + 0.0 * B[i][j];\n\
+    \  for (int i = 0; i < 8; ++i)\n\
+    \    for (int j = 0; j < 8; ++j)\n\
+    \      T[i][j] = A[i][j];\n\
+     }\n"
+  in
+  let linalg = [ Script.Canonicalize false; Script.Raise "linalg" ] in
+  [
+    (* step, setup, payload, count *)
+    (Script.Tile [ 4 ], [], mm, 1);
+    (Script.Tile [ 4; 2 ], [], mm, 1);
+    (Script.Interchange, [], mm, 1);
+    (Script.Fuse T.Loop_fuse.Max_fuse, [], W.mvt ~n:8 (), 2);
+    (Script.Fuse T.Loop_fuse.Smart_fuse, [], fold, 2);
+    (Script.Fuse T.Loop_fuse.No_fuse, [], fold, 0);
+    (Script.Unroll 2, [], mm, 1);
+    (Script.Lower_affine, [], mm, 3);
+    (Script.Lower_linalg None, linalg, mm, 1);
+    (Script.Lower_linalg (Some 4), linalg, mm, 1);
+    ( Script.Blis_schedule { T.Blis_schedule.mc = 4; nc = 4; kc = 4 },
+      [ Script.Canonicalize false; Script.Raise "affine-matmul" ],
+      mm,
+      1 );
+    (Script.Raise "linalg", [ Script.Canonicalize false ], two_mm, 3);
+    (Script.Raise "affine-matmul", [ Script.Canonicalize false ], mm, 1);
+    (Script.Raise "affine", [ Script.Lower_affine ], mm, 7);
+    (Script.Canonicalize false, [], fold, 1);
+    (Script.Canonicalize true, [], fold, 3);
+    (Script.Dce, [], fold, 5);
+    (Script.Reorder_chains, linalg, chain, 1);
+    (Script.To_blas, linalg, two_mm, 2);
+  ]
+
+(* Exhaustive on purpose: a new step constructor does not compile here
+   until it gets a rank, and then fails the coverage check below until
+   it gets a row in the table. *)
+let constructor_rank = function
+  | Script.Tile _ -> 0
+  | Script.Interchange -> 1
+  | Script.Fuse _ -> 2
+  | Script.Unroll _ -> 3
+  | Script.Lower_affine -> 4
+  | Script.Lower_linalg _ -> 5
+  | Script.Blis_schedule _ -> 6
+  | Script.Raise _ -> 7
+  | Script.Canonicalize _ -> 8
+  | Script.Dce -> 9
+  | Script.Reorder_chains -> 10
+  | Script.To_blas -> 11
+
+let test_every_step_counts () =
+  Alcotest.(check (list int)) "a row for every step constructor"
+    (List.init 12 Fun.id)
+    (List.sort_uniq compare
+       (List.map (fun (step, _, _, _) -> constructor_rank step)
+          step_count_table));
+  List.iter
+    (fun (step, setup, src, expected) ->
+      let name = Script.step_name step in
+      let f = sole_func (Met.Emit_affine.translate src) in
+      List.iter
+        (fun c -> ignore (Transform.Interp.apply_step c f))
+        (Transform.Interp.compile_steps setup);
+      match Transform.Interp.compile_steps [ step ] with
+      | [ c ] ->
+          Alcotest.(check string) (name ^ ": compiled name") name
+            c.Transform.Interp.c_name;
+          Alcotest.(check (list string)) (name ^ ": pass name") [ name ]
+            (List.map
+               (fun p -> p.Pass.name)
+               (Transform.Interp.passes_of_steps [ step ]));
+          Alcotest.(check int) (name ^ ": application count") expected
+            (Transform.Interp.apply_step c f)
+      | cs -> Alcotest.failf "%s compiled to %d steps" name (List.length cs))
+    step_count_table
+
 (* ---- rejection of malformed scripts ------------------------------------ *)
 
 let rejects name text =
@@ -235,6 +326,8 @@ let suite =
       test_inapplicable_step_remarks;
     Alcotest.test_case "applicable step reports its application count"
       `Quick test_applicable_step_counts;
+    Alcotest.test_case "every step: name and pinned application count"
+      `Quick test_every_step_counts;
     Alcotest.test_case "verifier rejects malformed scripts" `Quick
       test_verifier_rejections;
     Alcotest.test_case "custom schedule naming" `Quick test_schedule_names;

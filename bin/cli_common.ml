@@ -23,7 +23,9 @@ let config_name_arg =
     & info [ "config"; "pipeline" ] ~docv:"NAME"
         ~doc:
           "Named pipeline configuration: clang-O3, pluto-default, \
-           pluto-best, mlt-linalg, mlt-blas or mlt-affine-blis.")
+           pluto-best, mlt-linalg, mlt-blas or mlt-affine-blis. \
+           pluto-best is a search on a machine model, so only mlt-sim \
+           accepts it.")
 
 let transform_script_arg =
   Arg.(
@@ -64,30 +66,28 @@ let resolve_schedule ~config ~script =
    with the tuner's search summary appended as a "tune" member when a
    search ran (docs/OBSERVABILITY.md). *)
 let pass_stats_json ?tune pm =
-  let base = Ir.Pass.report_json pm in
-  match Support.Json.parse base with
-  | Ok (Support.Json.Obj fields) ->
-      let tune_fields =
-        match tune with
-        | None -> []
-        | Some (st : Tune.stats) ->
-            [
-              ( "tune",
-                Support.Json.Obj
-                  [
-                    ("candidates", Support.Json.num_int st.Tune.t_candidates);
-                    ("evaluated", Support.Json.num_int st.Tune.t_evaluated);
-                    ("best_seconds", Support.Json.Num st.Tune.t_best_seconds);
-                    ( "eval_seconds",
-                      Ir.Metrics.histogram_snapshot_json st.Tune.t_eval_latency
-                    );
-                  ] );
-            ]
-      in
-      Support.Json.to_string
-        (Support.Json.Obj
-           ((("run_meta", Support.Run_meta.json ()) :: fields) @ tune_fields))
-  | _ -> base
+  let module J = Support.Json in
+  let tune_fields =
+    match tune with
+    | None -> []
+    | Some (st : Tune.stats) ->
+        [
+          ( "tune",
+            J.Obj
+              [
+                ("candidates", J.num_int st.Tune.t_candidates);
+                ("evaluated", J.num_int st.Tune.t_evaluated);
+                ("best_seconds", J.Num st.Tune.t_best_seconds);
+                ( "eval_seconds",
+                  Ir.Metrics.histogram_snapshot_json st.Tune.t_eval_latency );
+              ] );
+        ]
+  in
+  match Ir.Pass.report_json_value pm with
+  | J.Obj fields ->
+      J.to_string
+        (J.Obj ((("run_meta", Support.Run_meta.json ()) :: fields) @ tune_fields))
+  | report -> J.to_string report
 
 let interp_engine =
   Arg.(

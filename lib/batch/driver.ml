@@ -41,60 +41,14 @@ module J = Support.Json
    3: summaries carry per-pass GC deltas. *)
 let payload_format = 3
 
-let pattern_stat_to_json (p : Ir.Rewriter.pattern_stat) =
-  J.Obj
-    [
-      ("name", J.Str p.ps_name);
-      ("attempts", J.num_int p.ps_attempts);
-      ("hits", J.num_int p.ps_hits);
-      ("activations", J.num_int p.ps_activations);
-    ]
-
-let summary_to_json (s : Ir.Pass.summary) =
-  J.Obj
-    [
-      ("name", J.Str s.s_name);
-      ("runs", J.num_int s.s_runs);
-      ("seconds", J.Num s.s_seconds);
-      ("match_attempts", J.num_int s.s_match_attempts);
-      ("rewrites", J.num_int s.s_rewrites);
-      ("ops_delta", J.num_int s.s_ops_delta);
-      ("gc", Ir.Pass.gc_json s.s_gc);
-      ("patterns", J.List (List.map pattern_stat_to_json s.s_patterns));
-    ]
-
 exception Bad_payload
 
 let jstr = function J.Str s -> s | _ -> raise Bad_payload
 let jint v = match J.to_int v with Some i -> i | None -> raise Bad_payload
-let jfloat = function J.Num f -> f | _ -> raise Bad_payload
 let jlist = function J.List l -> l | _ -> raise Bad_payload
 
 let jfield key json =
   match J.member key json with Some v -> v | None -> raise Bad_payload
-
-let pattern_stat_of_json j : Ir.Rewriter.pattern_stat =
-  {
-    ps_name = jstr (jfield "name" j);
-    ps_attempts = jint (jfield "attempts" j);
-    ps_hits = jint (jfield "hits" j);
-    ps_activations = jint (jfield "activations" j);
-  }
-
-let summary_of_json j : Ir.Pass.summary =
-  {
-    s_name = jstr (jfield "name" j);
-    s_runs = jint (jfield "runs" j);
-    s_seconds = jfloat (jfield "seconds" j);
-    s_match_attempts = jint (jfield "match_attempts" j);
-    s_rewrites = jint (jfield "rewrites" j);
-    s_ops_delta = jint (jfield "ops_delta" j);
-    s_gc =
-      (match J.member "gc" j with
-      | Some g -> Ir.Pass.gc_of_json g
-      | None -> Ir.Pass.zero_gc);
-    s_patterns = List.map pattern_stat_of_json (jlist (jfield "patterns" j));
-  }
 
 let payload_of_result r =
   J.Obj
@@ -107,7 +61,7 @@ let payload_of_result r =
       ("match_attempts", J.num_int r.r_match_attempts);
       ("rewrites", J.num_int r.r_rewrites);
       ("remarks", J.List (List.map (fun m -> J.Str m) r.r_remarks));
-      ("passes", J.List (List.map summary_to_json r.r_summary));
+      ("passes", Ir.Pass.summaries_json_value r.r_summary);
     ]
 
 (* Decode a committed payload back into a (cached) result for the entry
@@ -131,7 +85,7 @@ let result_of_payload ~entry ~shard ~seconds json =
     r_seconds = seconds;
     r_match_attempts = jint (jfield "match_attempts" json);
     r_rewrites = jint (jfield "rewrites" json);
-    r_summary = List.map summary_of_json (jlist (jfield "passes" json));
+    r_summary = List.map Ir.Pass.summary_of_json (jlist (jfield "passes" json));
     r_remarks = List.map jstr (jlist (jfield "remarks" json));
   }
 
@@ -155,7 +109,7 @@ let entry_key ~capture_remarks (e : Manifest.entry) src =
    pipeline, printing, cache lookup/commit — happens inside this
    function, and any exception it raises is converted into a [Failed]
    result. One crashing input therefore fails exactly its own manifest
-   entry; the shard moves on to its next entry. *)
+   entry; the worker moves on to its next entry. *)
 let compile_entry ~capture_remarks ~shard ?cache (e : Manifest.entry) =
   let t0 = Unix.gettimeofday () in
   let remarks_rev = ref [] in
@@ -267,23 +221,26 @@ let m_wall_seconds =
       Ir.Metrics.gauge ~help:"wall-clock of the last batch run"
         "mlt_batch_wall_seconds")
 
-let shard_hist shard =
-  Ir.Metrics.histogram ~help:"per-entry wall-clock on this shard"
-    (Printf.sprintf "mlt_batch_shard%d_entry_seconds" shard)
+let worker_hist worker =
+  Ir.Metrics.histogram ~help:"per-entry wall-clock on this pool worker"
+    (Printf.sprintf "mlt_batch_shard%d_entry_seconds" worker)
 
 (* ---- progress heartbeat --------------------------------------------------
 
-   Wall-clock-only observability: the heartbeat reads three atomics the
-   workers bump and writes to stderr from its own ticker domain. Nothing
-   it computes flows into results, reports, or signatures. *)
+   Wall-clock-only observability: every worker bumps three atomics, and
+   the calling domain (pool worker 0) draws the heartbeat between its
+   own entries. Nothing it computes flows into results, reports, or
+   signatures. *)
 
 type progress_state = {
   pg_total : int;
   pg_done : int Atomic.t;  (** entries finished [Done], cached included *)
   pg_failed : int Atomic.t;
   pg_cached : int Atomic.t;
-  pg_stop : bool Atomic.t;
   pg_t0 : float;
+  pg_tty : bool;
+  mutable pg_drawn_at : float;  (** calling domain only *)
+  mutable pg_last : string;  (** calling domain only *)
 }
 
 let progress_line st =
@@ -301,40 +258,36 @@ let progress_line st =
   Printf.sprintf "[mlt-batch] %d/%d done (%d failed, %d cached) %.1f/s%s"
     completed st.pg_total f c rate eta
 
-let progress_ticker st =
-  Domain.spawn (fun () ->
-      (* On a tty, redraw one line in place; otherwise emit a full line
-         only when the numbers moved, so logs aren't flooded. *)
-      let tty = try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false in
-      let last = ref "" in
-      let emit ~final line =
-        if tty then Printf.eprintf "\r\027[K%s%s%!" line (if final then "\n" else "")
-        else if final || line <> !last then Printf.eprintf "%s\n%!" line;
-        last := line
-      in
-      while not (Atomic.get st.pg_stop) do
-        emit ~final:false (progress_line st);
-        Unix.sleepf 0.5
-      done;
-      emit ~final:true (progress_line st))
+(* On a tty, redraw one line in place; otherwise emit a full line only
+   when the numbers moved, so logs aren't flooded. *)
+let progress_draw ~final st =
+  let line = progress_line st in
+  if st.pg_tty then
+    Printf.eprintf "\r\027[K%s%s%!" line (if final then "\n" else "")
+  else if final || line <> st.pg_last then Printf.eprintf "%s\n%!" line;
+  st.pg_last <- line;
+  st.pg_drawn_at <- Unix.gettimeofday ()
+
+let progress_record st ~worker r =
+  (match r.r_status with
+  | Done -> Atomic.incr st.pg_done
+  | Failed _ -> Atomic.incr st.pg_failed);
+  if r.r_cached then Atomic.incr st.pg_cached;
+  if worker = 0 && Unix.gettimeofday () -. st.pg_drawn_at >= 0.5 then
+    progress_draw ~final:false st
 
 let run ?(domains = 1) ?(capture_remarks = false) ?(progress = false) ?cache
     manifest =
   (* The Dialect op-def registry is write-once-before-parallelism:
-     populate it fully on this domain so the workers spawned below only
-     ever read it (Ir.Dialect.register_once makes even a racing first
-     registration safe, but eager registration means the unsynchronized
-     lookup fast path is all the workers execute). *)
+     populate it fully on this domain so the pool workers only ever read
+     it (Ir.Dialect.register_once makes even a racing first registration
+     safe, but eager registration means the unsynchronized lookup fast
+     path is all the workers execute). *)
   Mlt.Pipeline.register_dialects ();
   let entries = Array.of_list (Manifest.entries manifest) in
   let n = Array.length entries in
   let domains = max 1 (min domains (max 1 n)) in
-  let results : entry_result option array = Array.make n None in
-  (* Round-robin sharding: entry [i] belongs to shard [i mod domains].
-     Each result slot is written by exactly one domain, so the plain
-     array needs no synchronization; [Domain.join] publishes the
-     writes. The cache handle, when present, is shared — its operations
-     serialize on an internal mutex. *)
+  let hists = Array.init domains worker_hist in
   let t0 = Unix.gettimeofday () in
   let pg =
     if progress && n > 0 then
@@ -344,54 +297,24 @@ let run ?(domains = 1) ?(capture_remarks = false) ?(progress = false) ?cache
           pg_done = Atomic.make 0;
           pg_failed = Atomic.make 0;
           pg_cached = Atomic.make 0;
-          pg_stop = Atomic.make false;
           pg_t0 = t0;
+          pg_tty = (try Unix.isatty Unix.stderr with Unix.Unix_error _ -> false);
+          pg_drawn_at = t0;
+          pg_last = "";
         }
     else None
   in
-  let work shard () =
-    let hist = shard_hist shard in
-    let i = ref shard in
-    while !i < n do
-      let r = compile_entry ~capture_remarks ~shard ?cache entries.(!i) in
-      results.(!i) <- Some r;
-      Ir.Metrics.observe hist r.r_seconds;
-      (match pg with
-      | None -> ()
-      | Some st ->
-          (match r.r_status with
-          | Done -> Atomic.incr st.pg_done
-          | Failed _ -> Atomic.incr st.pg_failed);
-          if r.r_cached then Atomic.incr st.pg_cached);
-      i := !i + domains
-    done
+  (* The cache handle, when present, is shared by every worker — its
+     operations serialize on an internal mutex. *)
+  let compile ~worker i =
+    let r = compile_entry ~capture_remarks ~shard:worker ?cache entries.(i) in
+    Ir.Metrics.observe hists.(worker) r.r_seconds;
+    Option.iter (fun st -> progress_record st ~worker r) pg;
+    r
   in
-  let ticker = Option.map progress_ticker pg in
-  if domains = 1 then work 0 ()
-  else begin
-    let spawned =
-      List.init (domains - 1) (fun s -> Domain.spawn (work (s + 1)))
-    in
-    (* Shard 0 runs on the calling domain — its listener/sink/counter
-       state is domain-local, so this does not disturb the caller beyond
-       advancing its own rewriter counters. *)
-    work 0 ();
-    List.iter Domain.join spawned
-  end;
-  (match (pg, ticker) with
-  | Some st, Some t ->
-      Atomic.set st.pg_stop true;
-      Domain.join t
-  | _ -> ());
+  let results = Array.to_list (Support.Pool.map ~domains n compile) in
+  Option.iter (progress_draw ~final:true) pg;
   let wall = Unix.gettimeofday () -. t0 in
-  let results =
-    Array.to_list
-      (Array.map
-         (function
-           | Some r -> r
-           | None -> failwith "batch: unfilled result slot")
-         results)
-  in
   (* ResultAggregator: fold per-entry pass summaries in manifest order —
      independent of which domain compiled what, the aggregate is the one
      a sequential run would produce (timings aside). *)
@@ -470,7 +393,7 @@ let entry_json_value r =
       ])
 
 (* CPU-time view to set against [wall_seconds]: the sum of per-entry
-   wall-clocks across all shards. Wall-clock only — excluded (like every
+   wall-clocks across all workers. Wall-clock only — excluded (like every
    seconds field) from both signatures. *)
 let total_entry_seconds rp =
   List.fold_left (fun acc r -> acc +. r.r_seconds) 0. rp.rp_results
@@ -492,7 +415,7 @@ let report_json_value rp =
 
 let report_json rp = J.to_string (report_json_value rp)
 
-(* ---- sharded output ----------------------------------------------------- *)
+(* ---- output --------------------------------------------------------------- *)
 
 let sanitize name =
   String.map
@@ -502,14 +425,13 @@ let sanitize name =
       | _ -> '_')
     name
 
-(* Per-shard subdirectories mirror how each domain could stream its own
-   output file without contending on a shared writer; the report at the
-   top level is the aggregated view. Filenames are prefixed with the
-   manifest index: sanitizing collapses distinct entry names ("gemm#0"
-   and "gemm_0" both sanitize to "gemm_0"), and manifests may repeat a
-   name outright, so the index is what guarantees one file per entry.
-   Every file commits through the atomic writer: a kill mid-run leaves
-   whole files and absent files, never torn ones. *)
+(* Filenames are prefixed with the manifest index: sanitizing collapses
+   distinct entry names ("gemm#0" and "gemm_0" both sanitize to
+   "gemm_0"), and manifests may repeat a name outright, so the index is
+   what guarantees one file per entry. Nothing in the tree depends on
+   which worker compiled an entry, so it is the same for every domain
+   count. Every file commits through the atomic writer: a kill mid-run
+   leaves whole files and absent files, never torn ones. *)
 let write_outputs ~dir rp =
   Support.Atomic_io.mkdir_p dir;
   List.iteri
@@ -517,12 +439,8 @@ let write_outputs ~dir rp =
       match r.r_status with
       | Failed _ -> ()
       | Done ->
-          let shard_dir =
-            Filename.concat dir (Printf.sprintf "shard-%d" r.r_shard)
-          in
-          Support.Atomic_io.mkdir_p shard_dir;
           let path =
-            Filename.concat shard_dir
+            Filename.concat dir
               (Printf.sprintf "%03d-%s.mlir" idx (sanitize r.r_name))
           in
           Support.Atomic_io.write_file ~path r.r_ir)

@@ -1,15 +1,15 @@
-(** The sharded multi-domain batch compiler: shards a {!Manifest} across
-    a pool of OCaml domains, compiles every entry through its configured
+(** The multi-domain batch compiler: spreads a {!Manifest} over a
+    {!Support.Pool} of OCaml domains, compiles every entry through its configured
     {!Mlt.Pipeline}, isolates per-entry faults, and aggregates results
     deterministically (docs/CONCURRENCY.md describes the state model
     that makes the domain pool sound; docs/CACHE.md the compilation
     cache below).
 
     Roles, after the docudactyl HPC pipeline: manifest loading
-    ({!Manifest}), sharding + the domain pool ({!run}), fault handling
+    ({!Manifest}), the domain pool ({!run}), fault handling
     (per-entry — a crashing input fails its own manifest entry only),
     content-addressed caching with per-entry checkpoint commits
-    ({!Cache}), sharded output ({!write_outputs}), and result
+    ({!Cache}), output ({!write_outputs}), and result
     aggregation (manifest order, so reports are independent of domain
     scheduling). *)
 
@@ -18,7 +18,9 @@ type status = Done | Failed of string
 type entry_result = {
   r_name : string;
   r_config : string;  (** schedule name (pipeline config or script) *)
-  r_shard : int;  (** which shard (= domain index) compiled/served it *)
+  r_shard : int;
+      (** which pool worker compiled or served it, in [[0, rp_domains)]
+          (0 is the calling domain); varies from run to run *)
   r_status : status;
   r_cached : bool;  (** served from the compilation cache *)
   r_ir : string;  (** printed IR; [""] when failed *)
@@ -45,10 +47,10 @@ val ok_count : report -> int
 val failed_count : report -> int
 
 (** [run ~domains manifest] compiles every entry. [domains] (default 1,
-    clamped to the entry count) sets the pool size: entry [i] goes to
-    shard [i mod domains]; shard 0 runs on the calling domain, the rest
-    on spawned domains. With [domains = 1] no domain is spawned — the
-    sequential oracle the tests compare against. [capture_remarks]
+    clamped to the entry count) sets the size of the {!Support.Pool}:
+    each worker takes the next uncompiled entry; worker 0 is the calling
+    domain. With [domains = 1] no domain is spawned — the sequential
+    oracle the tests compare against. [capture_remarks]
     (default false) installs a per-entry remark sink and records the
     rendered remarks in the result (off by default: an installed sink
     makes tactics compute near-miss explanations, which costs compile
@@ -70,13 +72,15 @@ val failed_count : report -> int
     compiling; a failed commit warns on stderr and leaves the entry
     intact.
 
-    [progress] (default false) spawns a stderr heartbeat on its own
-    ticker domain: done/failed/cached counts, rate, and ETA, redrawn in
-    place on a tty and emitted as change-only lines otherwise. Purely
+    [progress] (default false) prints a stderr heartbeat:
+    done/failed/cached counts, rate, and ETA, drawn by the calling
+    domain between its own entries at most every 0.5 s plus a final
+    line, redrawn in place on a tty and emitted as change-only lines
+    otherwise. It spawns no domain. Purely
     wall-clock observability — nothing it reads or prints flows into
     results, reports, or {!result_signature}.
 
-    When {!Ir.Metrics.enabled}, a run also records per-shard entry
+    When {!Ir.Metrics.enabled}, a run also records per-worker entry
     latency histograms ([mlt_batch_shard<N>_entry_seconds]) and the
     [mlt_batch_entries_{done,failed,cached}] counters — bumped from the
     same aggregation as the report, so the two artifacts agree. *)
@@ -106,7 +110,7 @@ val summary_signature : Ir.Pass.summary list -> string
 
 val result_signature : entry_result -> string
 
-(** Sum of per-entry wall-clock seconds across all shards (the CPU-time
+(** Sum of per-entry wall-clock seconds across all workers (the CPU-time
     view to set against [wall_seconds]); the report's
     ["total_entry_seconds"] member. Wall-clock only — never part of a
     signature. *)
@@ -117,9 +121,10 @@ val total_entry_seconds : report -> float
 val report_json : report -> string
 
 (** [write_outputs ~dir rp] writes each successful entry's IR to
-    [dir/shard-N/III-name.mlir] ([III] the zero-padded manifest index —
+    [dir/III-name.mlir] ([III] the zero-padded manifest index —
     sanitized names are not unique) and the JSON report to
-    [dir/report.json], creating directories as needed. All files commit
+    [dir/report.json], creating [dir] as needed. The IR files do not
+    depend on the domain count. All files commit
     through {!Support.Atomic_io} — a kill mid-write never leaves a torn
     artifact. *)
 val write_outputs : dir:string -> report -> unit

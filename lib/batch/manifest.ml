@@ -29,10 +29,24 @@ let is_ir e =
 (* ---- JSON loading ------------------------------------------------------- *)
 
 let fail path msg =
-  Support.Diag.errorf "manifest %s: %s" path msg
+  Support.Diag.errorf
+    ~loc:(Support.Loc.make ~file:path ~line:0 ~col:0)
+    "manifest: %s" msg
+
+let members = [ "name"; "path"; "source"; "pipeline"; "script"; "script_source" ]
 
 let parse_entry ~path ~dir i json =
   let where msg = fail path (Printf.sprintf "entry %d: %s" i msg) in
+  (match json with
+  | Support.Json.Obj fields ->
+      List.iter
+        (fun (k, _) ->
+          if not (List.mem k members) then
+            where
+              (Printf.sprintf "unknown member %S (known: %s)" k
+                 (String.concat ", " members)))
+        fields
+  | _ -> where "must be an object");
   let str_member key =
     match Support.Json.member key json with
     | Some (Support.Json.Str s) -> Some s
@@ -62,7 +76,11 @@ let parse_entry ~path ~dir i json =
     | None, None, None -> Mlt.Pipeline.Config Mlt.Pipeline.Mlt_linalg
     | Some n, None, None -> (
         match config_of_name n with
-        | Some c -> Mlt.Pipeline.Config c
+        | Some c -> (
+            (* A config without a script (pluto-best) cannot compile. *)
+            match Mlt.Pipeline.steps_of_config c with
+            | _ -> Mlt.Pipeline.Config c
+            | exception Support.Diag.Error (_, msg) -> where msg)
         | None -> where (Printf.sprintf "unknown pipeline %S" n))
     | None, Some p, None -> (
         let p =

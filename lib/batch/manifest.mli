@@ -20,7 +20,9 @@
     ({!Mlt.Pipeline.config_name} spelling, default ["mlt-linalg"]), a
     transform-script file ([script], resolved relative to the manifest),
     or inline script IR text ([script_source]) — at most one of the
-    three (docs/TRANSFORM.md). *)
+    three (docs/TRANSFORM.md). Any other member is an error, and so is
+    ["pluto-best"], which has no script to compile (it is a search on a
+    machine model; [mlt-sim] times it). *)
 
 type source = File of string | Inline of string
 

@@ -419,6 +419,35 @@ let gc_of_json j =
     major_collections = int "major_collections";
   }
 
+(* The inverse of [summary_entry_json] below; the batch cache decodes its
+   payloads with it. *)
+let summary_of_json j =
+  let bad () = invalid_arg "Pass.summary_of_json" in
+  let field k o = match J.member k o with Some v -> v | None -> bad () in
+  let str k o = match field k o with J.Str s -> s | _ -> bad () in
+  let int k o = match J.to_int (field k o) with Some i -> i | None -> bad () in
+  let pattern o =
+    {
+      Rewriter.ps_name = str "name" o;
+      ps_attempts = int "attempts" o;
+      ps_hits = int "hits" o;
+      ps_activations = int "activations" o;
+    }
+  in
+  {
+    s_name = str "name" j;
+    s_runs = int "runs" j;
+    s_seconds = (match field "seconds" j with J.Num f -> f | _ -> bad ());
+    s_match_attempts = int "match_attempts" j;
+    s_rewrites = int "rewrites" j;
+    s_ops_delta = int "ops_delta" j;
+    s_gc = (match J.member "gc" j with Some g -> gc_of_json g | None -> zero_gc);
+    s_patterns =
+      (match field "patterns" j with
+      | J.List l -> List.map pattern l
+      | _ -> bad ());
+  }
+
 let timing_json (t : timing) =
   J.Obj
     [
@@ -433,13 +462,14 @@ let timing_json (t : timing) =
       ("patterns", J.List (List.map pattern_stat_json t.pattern_stats));
     ]
 
-let report_json m =
-  J.to_string
-    (J.Obj
-       [
-         ("total_seconds", J.Num (total_seconds m));
-         ("passes", J.List (List.map timing_json (timings m)));
-       ])
+let report_json_value m =
+  J.Obj
+    [
+      ("total_seconds", J.Num (total_seconds m));
+      ("passes", J.List (List.map timing_json (timings m)));
+    ]
+
+let report_json m = J.to_string (report_json_value m)
 
 let summary_entry_json s =
   J.Obj
@@ -456,8 +486,6 @@ let summary_entry_json s =
 
 let summaries_json_value summaries =
   J.List (List.map summary_entry_json summaries)
-
-let summaries_json summaries = J.to_string (summaries_json_value summaries)
 
 let summary_json m =
   J.to_string

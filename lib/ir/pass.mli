@@ -142,6 +142,10 @@ val report_table : manager -> string
     "hits":...,"activations":...}, ...]}, ...]}]. *)
 val report_json : manager -> string
 
+(** {!report_json} as a {!Support.Json} object, for emitters that add
+    members (the drivers' [--pass-stats] report). *)
+val report_json_value : manager -> Support.Json.t
+
 (** Aggregated variants of the two reports (one row per pass). *)
 val summary_table : manager -> string
 
@@ -149,12 +153,14 @@ val summary_json : manager -> string
 
 (** The JSON array of summary rows alone (the ["passes"] field of
     {!summary_json}), for embedding aggregated cross-manager summaries
-    in other reports (the batch driver's). *)
-val summaries_json : summary list -> string
-
-(** Same array as a {!Support.Json} value, for emitters that build a
-    larger report through the shared writer. *)
+    in other reports and in the batch cache payload. *)
 val summaries_json_value : summary list -> Support.Json.t
+
+(** Decodes one row of {!summaries_json_value} back into the summary it
+    was rendered from (seconds round-trip exactly; a missing ["gc"]
+    member reads as {!zero_gc}). Raises [Invalid_argument] on any other
+    shape mismatch. *)
+val summary_of_json : Support.Json.t -> summary
 
 (** JSON round-trip for {!gc_delta}, shared with the batch cache payload
     so the two emitters cannot diverge. [gc_of_json] treats missing

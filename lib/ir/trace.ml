@@ -107,40 +107,34 @@ end
 
 (* ---- Chrome trace-event exporter ---------------------------------------- *)
 
-(* Events stream into a buffer as they happen, so the exporter formats
-   them by hand — but through the shared escaping, so its strings can
-   never diverge from the Support.Json writer's. *)
-let json_escape = Support.Json.escape_string
+module J = Support.Json
 
+(* A non-finite float has no JSON spelling; it renders as [null]. *)
 let arg_json = function
-  | A_str s -> Printf.sprintf "\"%s\"" (json_escape s)
-  | A_int i -> string_of_int i
-  | A_float f -> Printf.sprintf "%.17g" f
-  | A_bool b -> if b then "true" else "false"
+  | A_str s -> J.Str s
+  | A_int i -> J.num_int i
+  | A_float f -> if Float.is_finite f then J.Num f else J.Null
+  | A_bool b -> J.Bool b
 
 let phase_code = function Begin -> "B" | End -> "E" | Instant -> "i"
 
+(* One trace event as a Chrome trace-event object; [ts] is microseconds
+   since [t0], kept to nanosecond resolution. *)
 let event_json ~t0 ev =
-  let buf = Buffer.create 128 in
-  Buffer.add_string buf
-    (Printf.sprintf
-       "{\"name\":\"%s\",\"cat\":\"%s\",\"ph\":\"%s\",\"ts\":%.3f,\"pid\":1,\"tid\":1"
-       (json_escape ev.ev_name) (json_escape ev.ev_cat)
-       (phase_code ev.ev_phase)
-       ((ev.ev_ts -. t0) *. 1e6));
-  if ev.ev_phase = Instant then Buffer.add_string buf ",\"s\":\"t\"";
-  if ev.ev_args <> [] then begin
-    Buffer.add_string buf ",\"args\":{";
-    List.iteri
-      (fun i (k, v) ->
-        if i > 0 then Buffer.add_char buf ',';
-        Buffer.add_string buf
-          (Printf.sprintf "\"%s\":%s" (json_escape k) (arg_json v)))
-      ev.ev_args;
-    Buffer.add_char buf '}'
-  end;
-  Buffer.add_char buf '}';
-  Buffer.contents buf
+  J.Obj
+    ([
+       ("name", J.Str ev.ev_name);
+       ("cat", J.Str ev.ev_cat);
+       ("ph", J.Str (phase_code ev.ev_phase));
+       ("ts", J.Num (Float.round ((ev.ev_ts -. t0) *. 1e9) /. 1e3));
+       ("pid", J.Num 1.);
+       ("tid", J.Num 1.);
+     ]
+    @ (if ev.ev_phase = Instant then [ ("s", J.Str "t") ] else [])
+    @
+    if ev.ev_args = [] then []
+    else
+      [ ("args", J.Obj (List.map (fun (k, v) -> (k, arg_json v)) ev.ev_args)) ])
 
 module Chrome = struct
   type t = {
@@ -156,7 +150,7 @@ module Chrome = struct
     let t = { buf; t0; count = 0; handle = 0 } in
     let sink ev =
       if t.count > 0 then Buffer.add_string buf ",\n";
-      Buffer.add_string buf (event_json ~t0 ev);
+      Buffer.add_string buf (J.to_string (event_json ~t0 ev));
       t.count <- t.count + 1
     in
     t.handle <- install sink;

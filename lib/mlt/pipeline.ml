@@ -59,10 +59,15 @@ let linalg_tile_size = 32
    test_transform_dialect). *)
 let steps_of_config = function
   | Clang_O3 -> []
-  | Pluto_default | Pluto_best ->
-      (* Pluto_best is resolved at timing (needs the machine model);
-         structural prepare keeps the default. *)
-      Script.of_pluto T.Pluto.default_config
+  | Pluto_default -> Script.of_pluto T.Pluto.default_config
+  | Pluto_best ->
+      (* Its schedule is a search result: it exists only once a machine
+         model is in hand, at timing ([tuned] below). *)
+      Support.Diag.errorf
+        "pipeline pluto-best has no fixed transform script: it is the \
+         Pluto sweep's winner on a machine model, searched when timed; \
+         time it with mlt-sim --config pluto-best, or print the winning \
+         script with mlt-sim --tune"
   | Mlt_linalg ->
       [
         Script.Canonicalize false;
@@ -154,7 +159,7 @@ let prepare ?pm config src = prepare_schedule ?pm (Config config) src
 (* Score every Pluto sweep configuration on the machine model and keep
    the fastest — the model-driven stand-in for the paper's multi-day
    autotuning, now running through the general tuner with the sweep
-   sharded across a domain pool. The winner (first strict minimum in
+   spread over a domain pool. The winner (first strict minimum in
    sweep order) and its IR are byte-identical to the legacy sequential
    sweep's (asserted in test_tune). *)
 let tuned ?pm machine src =

@@ -54,8 +54,11 @@ val register_dialects : unit -> unit
 (** {2 Configs as transform scripts} *)
 
 (** The configuration's elaboration to transform-script steps (empty for
-    [Clang_O3]; [Pluto_best] elaborates like [Pluto_default] — the sweep
-    is resolved at timing, when a machine model is in hand). *)
+    [Clang_O3]). [Pluto_best] has none — its schedule is searched on a
+    machine model when timed ({!time_schedule_ext}) — so it raises
+    {!Support.Diag.Error} pointing at [mlt-sim], and so does everything
+    derived from the script ({!passes_of_schedule},
+    {!schedule_cache_identity}, {!prepare_schedule}). *)
 val steps_of_config : config -> Transform.Script.step list
 
 (** {2 Schedules}
@@ -120,7 +123,7 @@ val prepare_module : ?pm:Pass.manager -> config -> Core.op -> Core.op
 (** [time_schedule_ext schedule machine src] — simulated report for the
     single kernel in [src], plus tuner statistics when the schedule
     triggered a search. [Config Pluto_best] routes through {!Tune}:
-    the Pluto sweep as transform scripts, sharded across a domain pool,
+    the Pluto sweep as transform scripts, spread over a {!Support.Pool},
     winner byte-identical to the legacy sequential sweep. With [pm], the
     preparation pipeline records per-pass statistics into the caller's
     (fresh) manager; for [Pluto_best] the sweep runs uninstrumented and

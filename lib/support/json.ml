@@ -220,8 +220,8 @@ let member key = function
 
 (* ---- writer -------------------------------------------------------------- *)
 
-(* The one escaping routine every JSON emitter in the tree goes through
-   (reports, pass stats, traces): printable ASCII and UTF-8 bytes pass
+(* The escaping of every JSON string the tree emits (reports, pass
+   stats, traces): printable ASCII and UTF-8 bytes pass
    through, the two JSON metacharacters and the common controls use their
    short escapes, and remaining control characters use \u00XX. *)
 let escape_string s =

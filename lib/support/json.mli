@@ -25,11 +25,6 @@ val member : string -> t -> t option
     through {!parse}. Raises [Invalid_argument] on non-finite numbers. *)
 val to_string : t -> string
 
-(** The escaping {!to_string} applies inside string literals (without the
-    surrounding quotes) — shared so hand-rolled emitters (the Chrome
-    trace stream) cannot diverge from the writer. *)
-val escape_string : string -> string
-
 (** [num_int i] is [Num (float_of_int i)]. *)
 val num_int : int -> t
 

@@ -150,88 +150,63 @@ let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
      freeze pattern sets, and frozen sets are the shareable form
      (docs/CONCURRENCY.md). Workers only read the closures. *)
   let compiled = Array.map (fun c -> Interp.compile_steps c.c_steps) cands in
-  let results : (Machine.Perf.report option * string option) array =
-    Array.make n (None, None)
-  in
-  (* Wall-clock cost of evaluating each candidate — the tuner's own
-     latency, distinct from the modelled seconds it scores. Each slot is
-     written by exactly one shard; [Domain.join] publishes them. *)
-  let walls = Array.make n 0. in
-  let eval i =
+  (* Each candidate's outcome with the wall-clock cost of evaluating it —
+     the tuner's own latency, distinct from the modelled seconds it
+     scores. *)
+  let eval ~worker:_ i =
     let t0 = Unix.gettimeofday () in
-    (match
-       let m = translate () in
-       let f = sole_func m in
-       List.iter (fun c -> ignore (Interp.apply_step c f)) compiled.(i);
-       Verifier.verify m;
-       Machine.Perf.time_func machine f
-     with
-    | report -> results.(i) <- (Some report, None)
-    | exception D.Error (loc, msg) ->
-        results.(i) <- (None, Some (D.to_string loc msg))
-    | exception exn -> results.(i) <- (None, Some (Printexc.to_string exn)));
+    let outcome =
+      match
+        let m = translate () in
+        let f = sole_func m in
+        List.iter (fun c -> ignore (Interp.apply_step c f)) compiled.(i);
+        Verifier.verify m;
+        Machine.Perf.time_func machine f
+      with
+      | report -> Ok report
+      | exception D.Error (loc, msg) -> Error (D.to_string loc msg)
+      | exception exn -> Error (Printexc.to_string exn)
+    in
     let w = Unix.gettimeofday () -. t0 in
-    walls.(i) <- w;
-    Metrics.observe (m_eval_seconds ()) w
+    Metrics.observe (m_eval_seconds ()) w;
+    (outcome, w)
   in
-  let domains = max 1 (min domains n) in
-  let work shard () =
-    let i = ref shard in
-    while !i < n do
-      eval !i;
-      i := !i + domains
-    done
+  let results =
+    Trace.span ~cat:"driver" "tune-search" (fun () ->
+        Support.Pool.map ~domains n eval)
   in
-  Trace.span ~cat:"driver" "tune-search" (fun () ->
-      if domains = 1 then work 0 ()
-      else begin
-        let spawned =
-          List.init (domains - 1) (fun s -> Domain.spawn (work (s + 1)))
-        in
-        work 0 ();
-        List.iter Domain.join spawned
-      end);
   (* First strict minimum in candidate order — the exact argmin the
      legacy sequential Pluto sweep computed. *)
   let best = ref None in
   Array.iteri
     (fun i (r, _) ->
-      match r with
-      | None -> ()
-      | Some (rep : Machine.Perf.report) -> (
-          match !best with
-          | Some (_, (b : Machine.Perf.report))
-            when b.Machine.Perf.seconds <= rep.Machine.Perf.seconds ->
-              ()
-          | _ -> best := Some (i, rep)))
+      match (r, !best) with
+      | Ok (rep : Machine.Perf.report), Some (_, (b : Machine.Perf.report))
+        when b.Machine.Perf.seconds <= rep.Machine.Perf.seconds ->
+          ()
+      | Ok rep, _ -> best := Some (i, rep)
+      | Error _, _ -> ())
     results;
   match !best with
   | None ->
       let first_error =
-        Array.fold_left
-          (fun acc (_, e) -> match acc with Some _ -> acc | None -> e)
-          None results
+        Array.find_map (function Error e, _ -> Some e | Ok _, _ -> None) results
       in
       D.errorf "tune: no candidate evaluated successfully%s"
         (match first_error with Some e -> ": " ^ e | None -> "")
   | Some (best_index, report) ->
-      let evaluated =
-        Array.fold_left
-          (fun acc (r, _) -> if r <> None then acc + 1 else acc)
-          0 results
-      in
       let evaluations =
         List.mapi
           (fun j c ->
-            let r, e = results.(j) in
+            let r, w = results.(j) in
             {
               ev_candidate = c;
               ev_seconds =
-                Option.map
-                  (fun (r : Machine.Perf.report) -> r.Machine.Perf.seconds)
-                  r;
-              ev_wall_seconds = walls.(j);
-              ev_error = e;
+                Result.to_option r
+                |> Option.map (fun (r : Machine.Perf.report) ->
+                       r.Machine.Perf.seconds);
+              ev_wall_seconds = w;
+              ev_error = (match r with Error e -> Some e | Ok _ -> None);
             })
           candidates
       in
@@ -239,11 +214,11 @@ let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
         let buckets = Array.make Metrics.bucket_count 0 in
         let sum = ref 0. in
         Array.iter
-          (fun w ->
+          (fun (_, w) ->
             sum := !sum +. w;
             let b = Metrics.bucket_of_seconds w in
             buckets.(b) <- buckets.(b) + 1)
-          walls;
+          results;
         { Metrics.h_count = n; h_sum = !sum; h_buckets = buckets }
       in
       {
@@ -253,7 +228,9 @@ let search ?(domains = 1) ?(seed = 0) ?limit ~machine ~translate candidates =
         o_stats =
           {
             t_candidates = n;
-            t_evaluated = evaluated;
+            t_evaluated =
+              List.length
+                (List.filter (fun e -> e.ev_seconds <> None) evaluations);
             t_best_seconds = report.Machine.Perf.seconds;
             t_eval_latency = eval_latency;
           };

@@ -3,13 +3,12 @@
     the best — the general search that replaces [Pluto_best]'s bespoke
     sequential sweep and backs [bench -- tune] / [mlt-sim --tune].
 
-    Determinism: candidates are evaluated into a slot array indexed by
-    candidate position and the winner is the {e first strict minimum} in
-    candidate order, so the result is independent of the domain count;
-    with a fixed [seed] the optional subsampling is deterministic too.
-    Sharding follows the batch driver's round-robin discipline
-    (docs/CONCURRENCY.md): populate the dialect registry on the calling
-    domain first ([Mlt.Pipeline.register_dialects]). *)
+    Determinism: candidates are evaluated through {!Support.Pool.map},
+    which returns outcomes in candidate order, and the winner is the
+    {e first strict minimum} in that order, so the result is independent
+    of the domain count; with a fixed [seed] the optional subsampling is
+    deterministic too. Populate the dialect registry on the calling
+    domain first ([Mlt.Pipeline.register_dialects]; docs/CONCURRENCY.md). *)
 
 type candidate = {
   c_name : string;
@@ -70,7 +69,8 @@ val gemm_space : ?quick:bool -> max_trip:int -> unit -> candidate list
 
 (** [search ~machine ~translate candidates] evaluates every candidate on
     a fresh [translate ()] payload and returns the winner. [domains]
-    shards candidates round-robin across a domain pool (default 1);
+    sets the size of the {!Support.Pool} the candidates are spread over
+    (default 1);
     [limit] (with [seed], default 0) deterministically subsamples the
     space, always keeping the first candidate — by convention the
     baseline schedule. Raises {!Support.Diag.Error} when the space is

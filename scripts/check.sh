@@ -67,6 +67,15 @@ grep -q '"name":"mlt_batch_entries_done"' "$obs_tmp/metrics.json" || {
   echo "check.sh: metrics file lacks the batch counters" >&2
   exit 1
 }
+# The output tree must not depend on the domain count: a 1-domain run
+# writes the same files, byte for byte, as the 2-domain run above (only
+# report.json, which records timings and workers, may differ).
+dune exec bin/mlt_batch.exe -- examples/kernels/batch_manifest.json \
+  --domains 1 --quiet --output "$obs_tmp/batch-1"
+diff -r -x report.json "$obs_tmp/batch-1" "$obs_tmp/batch" || {
+  echo "check.sh: --domains 1 and --domains 2 output trees differ" >&2
+  exit 1
+}
 # Smoke the compilation cache: a second run over the same manifest and
 # cache directory must be served entirely from the cache (cache_misses 0)
 # and write byte-identical per-entry IR (docs/CACHE.md).

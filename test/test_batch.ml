@@ -378,7 +378,34 @@ let test_register_once_parallel () =
     && Dialect.is_registered "memref.load"
     && Dialect.is_registered "affine.for")
 
-(* ---- sharded output filenames -------------------------------------- *)
+(* ---- output trees ----------------------------------------------------- *)
+
+(* [(file, contents)] for every file under [dir], sorted; removes the
+   tree as it goes. *)
+let take_tree dir =
+  let rec go rel =
+    let path = Filename.concat dir rel in
+    if Sys.is_directory path then begin
+      let files =
+        List.concat_map
+          (fun f -> go (if rel = "" then f else Filename.concat rel f))
+          (Array.to_list (Sys.readdir path))
+      in
+      Sys.rmdir path;
+      files
+    end
+    else begin
+      let text = In_channel.with_open_bin path In_channel.input_all in
+      Sys.remove path;
+      [ (rel, text) ]
+    end
+  in
+  List.sort compare (go "")
+
+let write_tree rp =
+  let dir = Filename.temp_dir "mlt_batch_out" "" in
+  Batch.Driver.write_outputs ~dir rp;
+  take_tree dir
 
 let test_write_outputs_distinct_files () =
   (* "gemm#0" and "gemm_0" both sanitize to "gemm_0"; the manifest-index
@@ -396,23 +423,59 @@ let test_write_outputs_distinct_files () =
   in
   let rp = Batch.Driver.run ~domains:1 (Batch.Manifest.of_entries entries) in
   Alcotest.(check int) "both entries compiled" 2 (Batch.Driver.ok_count rp);
-  let dir = Filename.temp_dir "mlt_batch_out" "" in
-  Batch.Driver.write_outputs ~dir rp;
-  let shard0 = Filename.concat dir "shard-0" in
-  let mlir_files =
-    Array.to_list (Sys.readdir shard0)
-    |> List.filter (fun f -> Filename.check_suffix f ".mlir")
-    |> List.sort compare
-  in
-  List.iter
-    (fun f -> Sys.remove (Filename.concat shard0 f))
-    (Array.to_list (Sys.readdir shard0));
-  Sys.remove (Filename.concat dir "report.json");
-  Sys.rmdir shard0;
-  Sys.rmdir dir;
   Alcotest.(check (list string)) "one output file per manifest entry"
-    [ "000-gemm_0.mlir"; "001-gemm_0.mlir" ]
-    mlir_files
+    [ "000-gemm_0.mlir"; "001-gemm_0.mlir"; "report.json" ]
+    (List.map fst (write_tree rp))
+
+(* Which worker compiled an entry is timing, so it must not reach the
+   output tree: only the report (which records it) may differ. *)
+let test_output_tree_independent_of_domains () =
+  let manifest = Batch.Manifest.of_entries (stress_entries ()) in
+  let tree domains =
+    List.filter
+      (fun (f, _) -> f <> "report.json")
+      (write_tree (Batch.Driver.run ~domains manifest))
+  in
+  let seq = tree 1 in
+  Alcotest.(check int) "one file per entry"
+    (Batch.Manifest.size manifest) (List.length seq);
+  Alcotest.(check (list (pair string string))) "domains 1 and 4 write one tree"
+    seq (tree 4)
+
+(* ---- manifest validation -------------------------------------------- *)
+
+let load_manifest_text text =
+  let path = Filename.temp_file "mlt_manifest" ".json" in
+  Out_channel.with_open_text path (fun oc -> output_string oc text);
+  Fun.protect
+    ~finally:(fun () -> Sys.remove path)
+    (fun () -> Batch.Manifest.load path)
+
+let expect_manifest_error what ~mentions text =
+  match load_manifest_text text with
+  | _ -> Alcotest.failf "%s: manifest accepted" what
+  | exception Support.Diag.Error (loc, msg) ->
+      Alcotest.(check bool) (what ^ ": located at the manifest") true
+        (Support.Loc.is_known loc);
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: %S mentions %S" what msg mentions)
+        true
+        (Astring_contains.contains msg mentions)
+
+let test_manifest_rejections () =
+  let src = "void f(float A[4]) { for (int i = 0; i < 4; ++i) A[i] = 0.0; }" in
+  let entry members =
+    Printf.sprintf {|{"entries": [{"name": "f", "source": %S%s}]}|} src members
+  in
+  Alcotest.(check int) "a well-formed entry loads" 1
+    (Batch.Manifest.size
+       (load_manifest_text (entry {|, "pipeline": "mlt-blas"|})));
+  (* A misspelled member must not fall back to the mlt-linalg default. *)
+  expect_manifest_error "unknown member" ~mentions:"\"config\""
+    (entry {|, "config": "mlt-blas"|});
+  (* pluto-best has no script; compiling pluto-default's would mislabel it. *)
+  expect_manifest_error "pluto-best" ~mentions:"mlt-sim"
+    (entry {|, "pipeline": "pluto-best"|})
 
 let suite =
   [
@@ -441,4 +504,8 @@ let suite =
       test_report_metrics_agreement;
     Alcotest.test_case "crashing input fails only its own entry" `Quick
       test_fault_isolation;
+    Alcotest.test_case "output tree independent of the domain count" `Quick
+      test_output_tree_independent_of_domains;
+    Alcotest.test_case "manifest rejects unknown members and pluto-best"
+      `Quick test_manifest_rejections;
   ]

@@ -255,6 +255,37 @@ let test_summary_merges_pattern_stats () =
         (Astring_contains.contains json needle))
     [ "\"patterns\":["; "\"name\":\"GEMM\""; "\"hits\":2" ]
 
+(* The batch cache stores summaries as [summaries_json_value] text and
+   serves them through [summary_of_json]: the pair must be lossless. *)
+let test_summary_json_roundtrip () =
+  let module J = Support.Json in
+  let pm = Pass.create_manager () in
+  Pass.add_all pm
+    [ Transforms.Canonicalize.pass; Transforms.Tactics.raise_to_linalg_pass () ];
+  for _ = 1 to 2 do
+    Pass.run pm (Met.Emit_affine.translate (W.mm ~ni:8 ~nj:8 ~nk:8 ()))
+  done;
+  let summaries = Pass.summarize pm in
+  let decoded =
+    match J.parse (J.to_string (Pass.summaries_json_value summaries)) with
+    | Ok (J.List rows) -> List.map Pass.summary_of_json rows
+    | _ -> Alcotest.fail "summaries_json_value is not a JSON array"
+  in
+  Alcotest.(check bool) "decode (encode s) = s, seconds and GC included" true
+    (decoded = summaries);
+  (* Payloads written before GC profiling carry no "gc" member. *)
+  let without_gc =
+    match Pass.summaries_json_value summaries with
+    | J.List (J.Obj fields :: _) ->
+        J.Obj (List.filter (fun (k, _) -> k <> "gc") fields)
+    | _ -> Alcotest.fail "expected summary rows"
+  in
+  Alcotest.(check bool) "missing gc reads as zero" true
+    ((Pass.summary_of_json without_gc).Pass.s_gc = Pass.zero_gc);
+  match Pass.summary_of_json (J.Obj [ ("name", J.Str "x") ]) with
+  | _ -> Alcotest.fail "a truncated row decoded"
+  | exception Invalid_argument _ -> ()
+
 let test_diag_error_names_pass_and_loc () =
   (* A Diag.Error raised mid-pass is re-reported with the failing pass's
      qualified name; a location attached by the pass body survives. *)
@@ -320,4 +351,6 @@ let suite =
     Alcotest.test_case "JSON/table reports and aggregation" `Quick
       test_reports_and_summaries;
     Alcotest.test_case "dialect registry" `Quick test_dialect_registry;
+    Alcotest.test_case "summary JSON round-trips" `Quick
+      test_summary_json_roundtrip;
   ]

@@ -144,8 +144,8 @@ let test_json_writer_roundtrip () =
   Alcotest.check_raises "non-finite rejected"
     (Invalid_argument "Json.to_string: non-finite number") (fun () ->
       ignore (J.to_string (J.Num Float.nan)));
-  Alcotest.(check string) "control characters escaped" ("\\u0001" ^ "\\n")
-    (J.escape_string "\x01\n");
+  Alcotest.(check string) "control characters escaped" {|"\u0001\n"|}
+    (J.to_string (J.Str "\x01\n"));
   Alcotest.(check (option int)) "to_int on integral" (Some 42)
     (J.to_int (J.num_int 42));
   Alcotest.(check (option int)) "to_int on fraction" None
@@ -213,6 +213,55 @@ let test_mkdir_p () =
   | () -> Alcotest.fail "expected mkdir_p of a file to fail"
   | exception Support.Diag.Error _ -> ()
 
+(* ---- the domain pool ---------------------------------------------- *)
+
+let test_pool_map () =
+  List.iter
+    (fun domains ->
+      List.iter
+        (fun n ->
+          let runs = Array.init n (fun _ -> Atomic.make 0) in
+          let out =
+            Support.Pool.map ~domains n (fun ~worker i ->
+                Atomic.incr runs.(i);
+                (i, worker))
+          in
+          let what = Printf.sprintf "domains %d, n %d" domains n in
+          Alcotest.(check (list int)) (what ^ ": results in index order")
+            (List.init n Fun.id)
+            (Array.to_list (Array.map fst out));
+          Array.iteri
+            (fun i r ->
+              Alcotest.(check int)
+                (Printf.sprintf "%s: index %d runs once" what i)
+                1 (Atomic.get r))
+            runs;
+          Array.iter
+            (fun (_, w) ->
+              Alcotest.(check bool) (what ^ ": worker < min domains n") true
+                (w >= 0 && w < min domains n))
+            out)
+        [ 0; 1; 3; 257 ])
+    [ 1; 2; 4; 8 ]
+
+(* An item raising on the calling domain surfaces only after every
+   spawned worker has finished the item it was running: nothing is
+   still in flight when [map] raises. *)
+let test_pool_joins_before_raising () =
+  let started = Atomic.make 0 and finished = Atomic.make 0 in
+  match
+    Support.Pool.map ~domains:4 64 (fun ~worker _ ->
+        Atomic.incr started;
+        if worker = 0 then failwith "worker 0";
+        Unix.sleepf 0.01;
+        Atomic.incr finished)
+  with
+  | _ -> Alcotest.fail "expected the raising item to propagate"
+  | exception Failure msg ->
+      Alcotest.(check string) "the item's own exception" "worker 0" msg;
+      Alcotest.(check int) "every other started item finished"
+        (Atomic.get started - 1) (Atomic.get finished)
+
 let suite =
   [
     Alcotest.test_case "locations" `Quick test_loc;
@@ -228,4 +277,8 @@ let suite =
     Alcotest.test_case "atomic writes never tear" `Quick test_atomic_write;
     Alcotest.test_case "mkdir_p rejects files on the path" `Quick
       test_mkdir_p;
+    Alcotest.test_case "Pool.map: every index once, in order" `Quick
+      test_pool_map;
+    Alcotest.test_case "Pool.map joins every worker before raising" `Quick
+      test_pool_joins_before_raising;
   ]

@@ -223,6 +223,36 @@ let test_chrome_escaping () =
   | Error msg -> Alcotest.failf "escaping broke the JSON: %s" msg
   | Ok _ -> ()
 
+(* Args render through the JSON writer; a non-finite float has no JSON
+   spelling and becomes null rather than a bare nan. *)
+let test_chrome_arg_values () =
+  let module J = Support.Json in
+  let c = Trace.Chrome.create () in
+  Trace.instant
+    ~args:
+      [
+        ("nan", Trace.A_float Float.nan);
+        ("inf", Trace.A_float Float.infinity);
+        ("x", Trace.A_float 0.25);
+        ("n", Trace.A_int (-3));
+        ("b", Trace.A_bool true);
+      ]
+    ~cat:"test" "args";
+  Trace.Chrome.detach c;
+  match J.parse (Trace.Chrome.contents c) with
+  | Error msg -> Alcotest.failf "non-finite arg broke the JSON: %s" msg
+  | Ok json -> (
+      match J.member "traceEvents" json with
+      | Some (J.List [ ev ]) ->
+          let arg k = Option.bind (J.member "args" ev) (J.member k) in
+          Alcotest.(check bool) "args render as JSON values" true
+            (arg "nan" = Some J.Null
+            && arg "inf" = Some J.Null
+            && arg "x" = Some (J.Num 0.25)
+            && arg "n" = Some (J.Num (-3.))
+            && arg "b" = Some (J.Bool true))
+      | _ -> Alcotest.fail "expected exactly one event")
+
 let test_interp_spans () =
   let t = Trace.Memory.create () in
   let m = Met.Emit_affine.translate (W.mm ~ni:4 ~nj:4 ~nk:4 ()) in
@@ -282,4 +312,6 @@ let suite =
       test_interp_spans;
     Alcotest.test_case "remarks mirror into the trace" `Quick
       test_remarks_mirrored_into_trace;
+    Alcotest.test_case "chrome exporter renders non-finite args as null"
+      `Quick test_chrome_arg_values;
   ]

@@ -62,7 +62,8 @@ let prop_roundtrip =
    configuration's script elaboration produces byte-identical IR. *)
 let legacy_passes = function
   | P.Clang_O3 -> []
-  | P.Pluto_default | P.Pluto_best -> [ T.Pluto.pass T.Pluto.default_config ]
+  | P.Pluto_default -> [ T.Pluto.pass T.Pluto.default_config ]
+  | P.Pluto_best -> Alcotest.fail "pluto-best has no pass list"
   | P.Mlt_linalg ->
       [
         T.Canonicalize.pass;
@@ -106,7 +107,8 @@ let test_configs_match_legacy () =
             (Printer.op_to_string legacy)
             (Printer.op_to_string scripted))
         kernels)
-    P.all_configs
+    (* pluto-best is a search, timed by Pipeline.time; it has no script. *)
+    (List.filter (fun c -> c <> P.Pluto_best) P.all_configs)
 
 (* The vectorizing Pluto elaboration (interchange + fast_math marking)
    must match Pluto.apply too — it is what the tuner's sweep runs. *)
@@ -300,6 +302,25 @@ let test_verifier_rejections () =
   rejects "not-a-transform-op"
     "builtin.module { \"arith.constant\"() {value = 1} : () -> () }"
 
+(* pluto-best is a machine-model search: asking for its script (to
+   compile it, or to key a cache entry) is an error that points at
+   mlt-sim, not pluto-default's script under pluto-best's name. *)
+let test_pluto_best_has_no_script () =
+  List.iter
+    (fun (what, f) ->
+      match f () with
+      | _ -> Alcotest.failf "%s: pluto-best produced a script" what
+      | exception Support.Diag.Error (_, msg) ->
+          Alcotest.(check bool) (what ^ " names mlt-sim") true
+            (Astring_contains.contains msg "mlt-sim"))
+    [
+      ("steps_of_config", fun () -> ignore (P.steps_of_config P.Pluto_best));
+      ( "schedule_cache_identity",
+        fun () -> ignore (P.schedule_cache_identity (P.Config P.Pluto_best)) );
+      ( "prepare",
+        fun () -> ignore (P.prepare P.Pluto_best (W.mm ~ni:8 ~nj:8 ~nk:8 ())) );
+    ]
+
 let test_schedule_names () =
   let s = P.schedule_of_steps [ Script.Tile [ 16 ] ] in
   (match s with
@@ -316,7 +337,7 @@ let test_schedule_names () =
 let suite =
   [
     QCheck_alcotest.to_alcotest prop_roundtrip;
-    Alcotest.test_case "six configs byte-identical to legacy pass lists"
+    Alcotest.test_case "five configs byte-identical to legacy pass lists"
       `Quick test_configs_match_legacy;
     Alcotest.test_case "vectorized pluto elaborations match Pluto.apply"
       `Quick test_vectorized_pluto_matches_apply;
@@ -331,4 +352,6 @@ let suite =
     Alcotest.test_case "verifier rejects malformed scripts" `Quick
       test_verifier_rejections;
     Alcotest.test_case "custom schedule naming" `Quick test_schedule_names;
+    Alcotest.test_case "pluto-best has no script" `Quick
+      test_pluto_best_has_no_script;
   ]
